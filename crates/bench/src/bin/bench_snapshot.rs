@@ -8,14 +8,14 @@
 //! overhead (serve throughput with stage timing *plus* the windowed
 //! series ring *plus* the drift monitor on vs everything off, with an
 //! asserted bound), and the end-to-end wire path (TCP loopback through
-//! `lad_wire`, full and degraded fidelity, plus the shed fraction under
-//! a 2× overload, with per-stage latency percentiles from the runtime's
-//! telemetry) — and writes the numbers to a `BENCH_<pr>.json` at the
-//! repo root, so every PR leaves a comparable perf record behind.
+//! `lad_wire`, plus the shed fraction under a 2× overload, with per-stage
+//! latency percentiles from the runtime's telemetry) — and writes the
+//! numbers to a `BENCH_<pr>.json` at the repo root, so every PR leaves a
+//! comparable perf record behind.
 //!
 //! ```text
 //! cargo run --release -p lad_bench --bin bench_snapshot -- \
-//!     [--out BENCH_10.json] [--quick] [--compare BENCH_8.json]
+//!     [--out BENCH_12.json] [--quick] [--compare BENCH_12.json]
 //! ```
 //!
 //! `--quick` shrinks iteration counts for CI; `--compare` prints
@@ -119,11 +119,8 @@ struct TelemetryOverhead {
 /// baseline.
 #[derive(Debug, Serialize)]
 struct WireRate {
-    /// Full-fidelity wire path (all metrics scored), reports/s.
+    /// Wire path, reports/s.
     reports_per_sec: f64,
-    /// Degraded wire path (decision metric only, forced via a
-    /// degrade-depth-0 policy), reports/s.
-    degraded_reports_per_sec: f64,
     /// Single-shard in-process `submit_rows` baseline on the identical
     /// workload, reports/s.
     in_process_reports_per_sec: f64,
@@ -157,7 +154,7 @@ struct Snapshot {
     serve_telemetry: TelemetryOverhead,
     wire: WireRate,
     /// Per-stage latency summaries (count, mean, min/max, p50/p95/p99 in
-    /// nanoseconds) folded from the full-fidelity wire run — the only
+    /// nanoseconds) folded from the accept-all wire run — the only
     /// measurement here that exercises the whole pipeline (decode → gate
     /// → queue → score → detector → drain) end to end.
     wire_stage_latency: Vec<StageSummary>,
@@ -439,7 +436,7 @@ fn wire_run(policy: OverloadPolicy, passes: u64) -> (f64, u64, u64, Vec<StageSum
     }
     while client.in_flight() > 0 {
         let receipt = client.recv_delivery().expect("receipt arrives");
-        if let DeliveryStatus::Accepted { .. } = receipt.status {
+        if receipt.status == DeliveryStatus::Accepted {
             accepted += receipt.rows as u64;
         }
     }
@@ -509,11 +506,6 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
             false,
         ),
         Metric::new("wire.reports_per_sec", snap.wire.reports_per_sec, true),
-        Metric::new(
-            "wire.degraded_reports_per_sec",
-            snap.wire.degraded_reports_per_sec,
-            true,
-        ),
     ];
     for rate in &snap.serve {
         // One entry per shard count; the old snapshot is matched by count.
@@ -613,7 +605,7 @@ fn compare_snapshots(old_path: &str, snap: &Snapshot) -> usize {
 }
 
 fn main() {
-    let mut out = String::from("BENCH_10.json");
+    let mut out = String::from("BENCH_12.json");
     let mut quick = false;
     let mut compare: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -690,10 +682,6 @@ fn main() {
     // Longer windows than the in-process runs: the wire path shares the
     // core with its client, so short windows are scheduler-noise-bound.
     let (wire_rps, _, _, wire_stages) = wire_run(OverloadPolicy::default(), effort.wire_passes);
-    let (degraded_rps, _, _, _) = wire_run(
-        OverloadPolicy::default().with_degrade_depth(0),
-        effort.wire_passes,
-    );
     // Offer at full client speed against a budget of half the measured
     // wire capacity: a ≥2× saturation by construction.
     let burst = serve_workload().reports_per_pass as f64;
@@ -704,14 +692,13 @@ fn main() {
     let in_process = serve[0].reports_per_sec;
     let wire = WireRate {
         reports_per_sec: wire_rps,
-        degraded_reports_per_sec: degraded_rps,
         in_process_reports_per_sec: in_process,
         wire_vs_in_process: wire_rps / in_process,
         shed_fraction_at_2x_overload: (overload_offered - overload_accepted) as f64
             / overload_offered as f64,
     };
     let snapshot = Snapshot {
-        pr: 10,
+        pr: 12,
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())

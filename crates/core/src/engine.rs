@@ -715,10 +715,8 @@ impl LadEngine {
     /// (row-major, `self.metrics().len()` scores per request; `out` must be
     /// exactly `requests.len() * metrics.len()` long).
     ///
-    /// This is the building block of [`Self::score_batch_into`] and the
-    /// scoring path a `lad_serve` shard runs on its own partition of a
-    /// batch: no allocation beyond the thread's µ scratch, no nested
-    /// thread pool underneath a shard thread.
+    /// This is the building block of [`Self::score_batch_into`]: no
+    /// allocation beyond the thread's µ scratch, no nested thread pool.
     ///
     /// # Panics
     /// Panics when `out.len() != requests.len() * self.metrics().len()`.
@@ -765,9 +763,8 @@ impl LadEngine {
 
     /// Scores rows `lo..hi` of `batch` sequentially on the calling thread
     /// into `out` (row-major; `out` must be exactly
-    /// `(hi - lo) * metrics.len()` long). The whole-batch form
-    /// [`Self::score_rows_seq_into`] is what a `lad_serve` shard runs on
-    /// its partition.
+    /// `(hi - lo) * metrics.len()` long) — one chunk of
+    /// [`Self::score_rows_into`].
     fn score_rows_range_into(
         &self,
         batch: &ObservationBatch,
@@ -805,30 +802,15 @@ impl LadEngine {
 
     /// Scores a CSR batch sequentially on the calling thread into `out`
     /// (row-major, `self.metrics().len()` scores per row; `out` must be
-    /// exactly `batch.len() * metrics.len()` long).
-    ///
-    /// This is the allocation-free kernel a `lad_serve` shard runs on its
-    /// own partition of a round: no per-report heap objects in, one flat
-    /// score buffer out, no nested thread pool underneath a shard thread.
-    ///
-    /// # Panics
-    /// Panics when `out.len() != batch.len() * self.metrics().len()` or the
-    /// batch's group count differs from the engine's deployment.
-    pub fn score_rows_seq_into(&self, batch: &ObservationBatch, out: &mut [f64]) {
-        self.score_rows_range_into(batch, 0..batch.len(), out);
-    }
-
-    /// [`Self::score_rows_seq_into`] with the µ fill memoized through a
-    /// caller-owned [`MuCache`]: repeated estimates skip the
-    /// `SupportIndex` walk and the g(z)-table evaluations entirely and
+    /// exactly `batch.len() * metrics.len()` long), with the µ fill
+    /// memoized through a caller-owned [`MuCache`]: repeated estimates skip
+    /// the `SupportIndex` walk and the g(z)-table evaluations entirely and
     /// score straight off the cached support.
     ///
-    /// Scores are **bit-identical** to the uncached call — a cache hit
-    /// returns the `SparseMu` that `expected_sparse_into` produced for the
-    /// same exact estimate bits (see [`MuCache`]) — so callers choose
-    /// between the two on cost alone. The cache must be dedicated to this
-    /// engine's deployment; `lad_serve` shards own one per shard next to
-    /// their engine clone.
+    /// Scores are **bit-identical** to [`Self::score_rows_into`] — a cache
+    /// hit returns the `SparseMu` that `expected_sparse_into` produced for
+    /// the same exact estimate bits (see [`MuCache`]). The cache must be
+    /// dedicated to this engine's deployment.
     ///
     /// # Panics
     /// Panics when `out.len() != batch.len() * self.metrics().len()` or the
@@ -873,16 +855,14 @@ impl LadEngine {
     /// Scores a CSR batch sequentially with **one** configured metric — one
     /// score per row into `out` — via that metric's sparse kernel.
     ///
-    /// This is the *degraded* serving kernel behind `lad_serve`'s load-shed
-    /// mode: under overload a shard stops paying for the full
-    /// all-metrics fused pass and keeps only the column its sequential
-    /// decision consumes. The value is **bit-identical** to the same
-    /// metric's column of [`Self::score_rows_seq_into`] (the fused kernel
-    /// is bit-identical to the per-metric kernels by construction, asserted
-    /// in `tests/sparse_exactness.rs`), so degrading changes *cost*, never
-    /// *decisions*. For [`MetricKind::Diff`] / [`MetricKind::AddAll`] the
-    /// kernel touches no pmf table at all — the cheap half of the fused
-    /// filter — which is where the degraded mode's headroom comes from.
+    /// This is the serving kernel a `lad_serve` shard runs (uncached form):
+    /// a sequential decision consumes exactly one metric, so a shard never
+    /// pays for the other columns of the all-metrics fused pass. The value
+    /// is **bit-identical** to the same metric's column of
+    /// [`Self::score_rows_into`] (the fused kernel is bit-identical to the
+    /// per-metric kernels by construction, asserted in
+    /// `tests/sparse_exactness.rs`). For [`MetricKind::Diff`] /
+    /// [`MetricKind::AddAll`] the kernel touches no pmf table at all.
     ///
     /// # Panics
     /// Panics when `metric` is not configured on this engine, when
@@ -919,8 +899,8 @@ impl LadEngine {
     }
 
     /// [`Self::score_rows_seq_one_into`] with the µ fill memoized through a
-    /// caller-owned [`MuCache`] — the degraded serving kernel with the same
-    /// cached-µ fast path (and the same bit-exactness argument) as
+    /// caller-owned [`MuCache`] — the `lad_serve` shard kernel, with the
+    /// same cached-µ fast path (and the same bit-exactness argument) as
     /// [`Self::score_rows_seq_cached_into`].
     ///
     /// # Panics

@@ -25,7 +25,7 @@
 //! * [`wire`] — the network boundary in front of the runtime: a versioned
 //!   binary frame format for observation batches, a TCP/Unix-domain framed
 //!   stream server with per-connection reader threads, and an explicit
-//!   load-shed policy (rate-limit → degrade → shed-with-NACK),
+//!   load-shed policy (rate-limit → shed-with-NACK),
 //! * [`response`] — the closed loop on top of the alarm stream: alarm
 //!   journalling, per-node suspicion, spatial alarm clustering, calibrated
 //!   revocation/quarantine policies, and the controller that installs the

@@ -85,13 +85,6 @@ pub fn render_prometheus(stats: &ServeStats) -> String {
     );
     metric_u64(
         &mut out,
-        "lad_reports_degraded_total",
-        "counter",
-        "Reports accepted in degraded (cheap-kernel) mode.",
-        c.degraded,
-    );
-    metric_u64(
-        &mut out,
         "lad_reports_shed_total",
         "counter",
         "Reports NACKed at the ingest boundary.",
@@ -199,13 +192,6 @@ pub fn render_prometheus(stats: &ServeStats) -> String {
             "Reports shed during the latest closed window.",
             window.shed,
         );
-        metric_u64(
-            &mut out,
-            "lad_window_degraded",
-            "gauge",
-            "Reports accepted degraded during the latest closed window.",
-            window.degraded,
-        );
         metric_f64(
             &mut out,
             "lad_window_mu_cache_hit_rate",
@@ -287,7 +273,7 @@ pub fn render_prometheus(stats: &ServeStats) -> String {
         &mut out,
         "lad_health_status",
         "gauge",
-        "Derived health severity: 0 healthy, 1 degraded, 2 overloaded, 3 drifting.",
+        "Derived health severity: 0 healthy, 2 overloaded, 3 drifting.",
         stats.health.status.severity(),
     );
     preamble(
@@ -302,7 +288,6 @@ pub fn render_prometheus(stats: &ServeStats) -> String {
             lad_telemetry::HealthCause::AlarmRateOutOfBand { .. } => "alarm_rate_out_of_band",
             lad_telemetry::HealthCause::SheddingLoad { .. } => "shedding_load",
             lad_telemetry::HealthCause::QueueBacklog { .. } => "queue_backlog",
-            lad_telemetry::HealthCause::DegradedScoring { .. } => "degraded_scoring",
         };
         let _ = writeln!(out, "lad_health_cause{{cause=\"{label}\"}} 1");
     }

@@ -50,9 +50,9 @@
 //!
 //! For ingest across a process boundary, the `lad_wire` crate puts a
 //! framed binary front door (TCP / Unix-domain, validate-once decoding,
-//! explicit rate-limit → degrade → shed overload policy) in front of
-//! [`ServeRuntime::submit_rows`]; the `degraded` / `shed` /
-//! `decode_errors` members of [`ServeCounters`] are fed by that path.
+//! explicit rate-limit → shed overload policy) in front of
+//! [`ServeRuntime::submit_rows`]; the `shed` / `decode_errors` members of
+//! [`ServeCounters`] are fed by that path.
 //!
 //! Alarm decisions are **bit-deterministic in the shard count**: routing is
 //! a pure function of the node id, every node's rounds reach its shard in

@@ -17,25 +17,23 @@
 //! 2. [`Overloaded`](HealthStatus::Overloaded) — the front door is
 //!    shedding traffic, or queue backlog is growing. Detection coverage
 //!    has holes in it right now.
-//! 3. [`Degraded`](HealthStatus::Degraded) — everything is being scored,
-//!    but some of it on the cheap degraded kernel (bit-identical
-//!    decisions, reduced headroom).
-//! 4. [`Healthy`](HealthStatus::Healthy) — none of the above.
+//! 3. [`Healthy`](HealthStatus::Healthy) — none of the above.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The condensed verdict, ordered least to most severe.
+/// The condensed verdict, ordered least to most severe. The discriminants
+/// are the exported severity codes; code 1 (the retired `Degraded` status)
+/// stays unused so alert rules written against the codes keep their
+/// meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum HealthStatus {
     /// No cause firing.
-    Healthy,
-    /// Some traffic is being scored on the degraded kernel.
-    Degraded,
+    Healthy = 0,
     /// Traffic is being shed, or backlog exceeds the configured queues.
-    Overloaded,
+    Overloaded = 2,
     /// Score distribution or alarm rate has left its calibration.
-    Drifting,
+    Drifting = 3,
 }
 
 impl HealthStatus {
@@ -43,13 +41,13 @@ impl HealthStatus {
     pub fn name(self) -> &'static str {
         match self {
             HealthStatus::Healthy => "healthy",
-            HealthStatus::Degraded => "degraded",
             HealthStatus::Overloaded => "overloaded",
             HealthStatus::Drifting => "drifting",
         }
     }
 
-    /// Numeric severity for the Prometheus gauge (0 healthy … 3 drifting).
+    /// Numeric severity for the Prometheus gauge (0 healthy, 2 overloaded,
+    /// 3 drifting).
     pub fn severity(self) -> u64 {
         self as u64
     }
@@ -94,12 +92,6 @@ pub enum HealthCause {
         /// The depth at which backlog is called a backlog.
         limit: u64,
     },
-    /// Reports were accepted in degraded (cheap-kernel) mode in the most
-    /// recent window.
-    DegradedScoring {
-        /// Reports accepted degraded in the window.
-        window_degraded: u64,
-    },
 }
 
 impl HealthCause {
@@ -112,7 +104,6 @@ impl HealthCause {
             HealthCause::SheddingLoad { .. } | HealthCause::QueueBacklog { .. } => {
                 HealthStatus::Overloaded
             }
-            HealthCause::DegradedScoring { .. } => HealthStatus::Degraded,
         }
     }
 }
@@ -137,12 +128,6 @@ impl fmt::Display for HealthCause {
             HealthCause::QueueBacklog { depth, limit } => {
                 write!(f, "queue backlog {depth} at/over capacity {limit}")
             }
-            HealthCause::DegradedScoring { window_degraded } => {
-                write!(
-                    f,
-                    "{window_degraded} reports scored degraded in the last window"
-                )
-            }
         }
     }
 }
@@ -155,8 +140,6 @@ pub struct HealthInputs {
     /// Reports shed in the most recent window (or overall when no window
     /// has closed yet).
     pub window_shed: u64,
-    /// Reports accepted degraded in the most recent window.
-    pub window_degraded: u64,
     /// Current queue depth in reports.
     pub queue_depth: u64,
     /// Depth at which backlog counts as overload (0 disables the check).
@@ -223,11 +206,6 @@ impl HealthReport {
                 limit: inputs.queue_limit,
             });
         }
-        if inputs.window_degraded > 0 {
-            causes.push(HealthCause::DegradedScoring {
-                window_degraded: inputs.window_degraded,
-            });
-        }
         let status = causes
             .iter()
             .map(HealthCause::status)
@@ -250,30 +228,30 @@ mod tests {
     }
 
     #[test]
-    fn drift_outranks_overload_outranks_degrade() {
+    fn drift_outranks_overload() {
         let inputs = HealthInputs {
             window_shed: 10,
-            window_degraded: 5,
             drift: Some((0.3, 0.1)),
             ..HealthInputs::default()
         };
         let report = HealthReport::derive(&inputs);
         assert_eq!(report.status, HealthStatus::Drifting);
-        assert_eq!(report.causes.len(), 3);
+        assert_eq!(report.causes.len(), 2);
         assert!(matches!(report.causes[0], HealthCause::ScoreDrift { .. }));
 
         let overloaded = HealthReport::derive(&HealthInputs {
             window_shed: 10,
-            window_degraded: 5,
             ..HealthInputs::default()
         });
         assert_eq!(overloaded.status, HealthStatus::Overloaded);
+    }
 
-        let degraded = HealthReport::derive(&HealthInputs {
-            window_degraded: 5,
-            ..HealthInputs::default()
-        });
-        assert_eq!(degraded.status, HealthStatus::Degraded);
+    #[test]
+    fn severity_codes_are_stable() {
+        // Exported gauge values: alert rules match on these numbers.
+        assert_eq!(HealthStatus::Healthy.severity(), 0);
+        assert_eq!(HealthStatus::Overloaded.severity(), 2);
+        assert_eq!(HealthStatus::Drifting.severity(), 3);
     }
 
     #[test]

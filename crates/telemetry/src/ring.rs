@@ -21,9 +21,6 @@ pub enum EventKind {
     /// The overload gate refused a batch (`a` = rows, detail = peer +
     /// shed reason).
     Shed,
-    /// The overload gate admitted a batch in degraded mode (`a` = rows,
-    /// detail = peer).
-    Degrade,
     /// A wire frame failed to decode (detail = peer + `WireError`).
     DecodeError,
     /// The response controller installed a new revocation list
@@ -118,7 +115,7 @@ impl EventRing {
     }
 
     /// Records that `n` events were *sampled out*: a flood-prone producer
-    /// (the wire front door's per-NACK shed/degrade events) decided not
+    /// (the wire front door's per-NACK shed events) decided not
     /// to push them, so the ring stays cheap under exactly the overload
     /// it exists to observe. The reader can reconstruct true event rates
     /// from recorded events plus this count.

@@ -5,7 +5,7 @@
 //! ever", useless for "what is happening *now*". This module folds
 //! successive cumulative observations into fixed-duration **windows** by
 //! exact counter subtraction: each [`WindowSample`] holds the reports,
-//! alarms, sheds, degrades and suppressions of *its* interval, the
+//! alarms, sheds and suppressions of *its* interval, the
 //! µ-cache hit rate over *its* lookups, the queue depth at its close, and
 //! the p50/p99 of each stage's latency over exactly the spans recorded
 //! inside it (bucket-wise [`HistoSnapshot`] subtraction is exact because
@@ -67,8 +67,6 @@ pub struct CumulativeSample {
     pub alarms: u64,
     /// Reports shed at the ingest boundary so far.
     pub shed: u64,
-    /// Reports accepted in degraded mode so far.
-    pub degraded: u64,
     /// Reports suppressed by the response filter so far.
     pub suppressed: u64,
     /// µ-cache hits so far.
@@ -115,8 +113,6 @@ pub struct WindowSample {
     pub alarms: u64,
     /// Reports shed during the window.
     pub shed: u64,
-    /// Reports accepted degraded during the window.
-    pub degraded: u64,
     /// Reports suppressed during the window.
     pub suppressed: u64,
     /// µ-cache hit rate over the window's lookups (0.0 when none).
@@ -252,7 +248,6 @@ impl SeriesRing {
             processed: to.processed.saturating_sub(from.processed),
             alarms: to.alarms.saturating_sub(from.alarms),
             shed: to.shed.saturating_sub(from.shed),
-            degraded: to.degraded.saturating_sub(from.degraded),
             suppressed: to.suppressed.saturating_sub(from.suppressed),
             mu_cache_hit_rate: if lookups == 0 {
                 0.0
@@ -320,7 +315,6 @@ mod tests {
             processed,
             alarms,
             shed: 0,
-            degraded: 0,
             suppressed: 0,
             mu_cache_hits: processed / 2,
             mu_cache_misses: processed - processed / 2,

@@ -16,7 +16,7 @@ pub enum Stage {
     /// Approximate under idle polling (the poll interleaves socket reads);
     /// accurate under load, which is the regime that matters.
     Decode,
-    /// Overload-gate decision (rate limit / shed / degrade) plus the
+    /// Overload-gate decision (rate limit / shed) plus the
     /// ACK/NACK write back to the client.
     Gate,
     /// Time a batch sat in its shard queue: fold-time `now` minus the

@@ -24,21 +24,16 @@ use std::path::Path;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryStatus {
     /// The batch entered the scoring pipeline.
-    Accepted {
-        /// It was scored on the degraded (cheap, bit-identical) path.
-        degraded: bool,
-    },
+    Accepted,
     /// The batch was NACKed — nothing was queued or scored. The server's
-    /// running totals ride along so a sender can adapt its offered rate
-    /// (back off while `shed_total` grows, expect cheap-path scoring while
-    /// `degraded_total` does) without a Stats round-trip.
+    /// running shed total rides along so a sender can adapt its offered
+    /// rate (back off while `shed_total` grows) without a Stats
+    /// round-trip.
     Shed {
         /// Why the batch was refused.
         reason: ShedReason,
         /// Reports the server has shed at its gate so far.
         shed_total: u64,
-        /// Reports the server has accepted in degraded mode so far.
-        degraded_total: u64,
     },
 }
 
@@ -49,7 +44,7 @@ pub struct Delivery {
     pub round: u64,
     /// The batch's row count, echoed by the server.
     pub rows: u32,
-    /// Accepted (full or degraded) or shed (typed reason).
+    /// Accepted or shed (typed reason).
     pub status: DeliveryStatus,
 }
 
@@ -156,16 +151,12 @@ impl WireClient {
             match self.decoder.poll_frame(&mut self.stream)? {
                 FramePoll::Pending => continue,
                 FramePoll::Closed => return Err(WireError::ConnectionClosed),
-                FramePoll::Frame(WireFrame::Ack {
-                    round,
-                    rows,
-                    degraded,
-                }) => {
+                FramePoll::Frame(WireFrame::Ack { round, rows }) => {
                     self.in_flight = self.in_flight.saturating_sub(1);
                     return Ok(Delivery {
                         round,
                         rows,
-                        status: DeliveryStatus::Accepted { degraded },
+                        status: DeliveryStatus::Accepted,
                     });
                 }
                 FramePoll::Frame(WireFrame::Nack {
@@ -173,17 +164,12 @@ impl WireClient {
                     rows,
                     reason,
                     shed_total,
-                    degraded_total,
                 }) => {
                     self.in_flight = self.in_flight.saturating_sub(1);
                     return Ok(Delivery {
                         round,
                         rows,
-                        status: DeliveryStatus::Shed {
-                            reason,
-                            shed_total,
-                            degraded_total,
-                        },
+                        status: DeliveryStatus::Shed { reason, shed_total },
                     });
                 }
                 FramePoll::Frame(frame) => {

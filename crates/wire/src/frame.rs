@@ -8,7 +8,7 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 4    | magic `"LADW"` |
-//! | 4      | 2    | format version (`u16`, currently 3) |
+//! | 4      | 2    | format version (`u16`, currently 4) |
 //! | 6      | 1    | frame kind (1 = Batch, 2 = Ack, 3 = Nack, 4 = StatsRequest, 5 = StatsReply, 6 = HealthRequest, 7 = HealthReply) |
 //! | 7      | 1    | reserved (written 0, ignored on read) |
 //! | 8      | 4    | payload length (`u32`, capped at [`MAX_FRAME_PAYLOAD`]) |
@@ -33,14 +33,24 @@
 //!
 //! Per-row totals are *not* on the wire — they are derived data and the
 //! decoder recomputes them, so a peer cannot desynchronise a batch's
-//! invariants. **Ack** (accepted; `degraded` flags the load-shed cheap
-//! path) payloads are `round: u64, rows: u32, flag: u8`; **Nack** (shed,
-//! with a typed [`ShedReason`]) extends that with the server's running
-//! `shed_total: u64, degraded_total: u64` report counters, so a client
-//! can adapt its offered rate from the receipt alone, without a Stats
-//! round-trip. **StatsRequest** (client → server) carries an empty
-//! payload; **StatsReply** answers it with a JSON-encoded observability
-//! snapshot (`lad_serve`'s `ServeStats`: counters + folded telemetry +
+//! invariants. Estimates are *not* range-checked: NaN, ±∞ and huge
+//! finite coordinates decode as-is and score as a claim far from every
+//! group, i.e. as anomalous (see `lad_serve`'s
+//! `ServeRuntime::submit_rows`).
+//!
+//! Receipts:
+//!
+//! | frame | size | payload |
+//! |-------|-----:|---------|
+//! | **Ack** (accepted) | 13 | `round: u64, rows: u32, reserved: u8` (must be 0) |
+//! | **Nack** (shed) | 21 | `round: u64, rows: u32, reason: u8, shed_total: u64` |
+//!
+//! A Nack carries a typed [`ShedReason`] and the server's running count of
+//! reports shed at its gate, so a client can adapt its offered rate from
+//! the receipt alone, without a Stats round-trip. **StatsRequest** (client
+//! → server) carries an empty payload; **StatsReply** answers it with a
+//! JSON-encoded observability snapshot (`lad_serve`'s `ServeStats`:
+//! counters + folded telemetry +
 //! windowed series + drift verdict + health report) — derived state only,
 //! never anything a decision depends on. **HealthRequest** (client →
 //! server) carries one [`HealthFormat`] byte selecting the reply
@@ -69,8 +79,10 @@ pub const WIRE_MAGIC: [u8; 4] = *b"LADW";
 /// Version history: v1 had no Stats frames and a 13-byte Nack; v2 widened
 /// Nack with the shed/degraded running totals and added
 /// StatsRequest/StatsReply; v3 added HealthRequest/HealthReply (typed
-/// health verdict and Prometheus exposition over the same socket).
-pub const WIRE_VERSION: u16 = 3;
+/// health verdict and Prometheus exposition over the same socket); v4
+/// dropped the degrade tier: the Ack `degraded` flag became a reserved
+/// must-be-zero byte and the Nack lost `degraded_total` (29 → 21 bytes).
+pub const WIRE_VERSION: u16 = 4;
 
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 16;
@@ -88,7 +100,7 @@ pub enum FrameKind {
     /// The batch was accepted (server → client).
     Ack,
     /// The batch was shed (server → client), with a [`ShedReason`] and
-    /// the server's running shed/degraded totals.
+    /// the server's running shed total.
     Nack,
     /// Ask the server for its observability snapshot (client → server).
     StatsRequest,
@@ -392,38 +404,26 @@ pub fn encode_batch(buf: &mut Vec<u8>, round: u64, nodes: &[NodeId], batch: &Obs
     finish_frame(buf, start);
 }
 
-fn encode_response(buf: &mut Vec<u8>, kind: FrameKind, round: u64, rows: u32, flag: u8) {
-    let start = put_header_placeholder(buf, kind);
+/// Appends one Ack frame: the batch of `round` (`rows` reports) was
+/// accepted. The trailing byte is reserved and written 0.
+pub fn encode_ack(buf: &mut Vec<u8>, round: u64, rows: u32) {
+    let start = put_header_placeholder(buf, FrameKind::Ack);
     buf.extend_from_slice(&round.to_le_bytes());
     buf.extend_from_slice(&rows.to_le_bytes());
-    buf.push(flag);
+    buf.push(0);
     finish_frame(buf, start);
 }
 
-/// Appends one Ack frame: the batch of `round` (`rows` reports) was
-/// accepted; `degraded` flags the load-shed cheap scoring path.
-pub fn encode_ack(buf: &mut Vec<u8>, round: u64, rows: u32, degraded: bool) {
-    encode_response(buf, FrameKind::Ack, round, rows, degraded as u8);
-}
-
 /// Appends one Nack frame: the batch of `round` (`rows` reports) was
-/// shed for `reason`. `shed_total` / `degraded_total` are the server's
-/// running counters (reports shed at the gate / accepted degraded so
-/// far), echoed in every receipt so a client can adapt without polling.
-pub fn encode_nack(
-    buf: &mut Vec<u8>,
-    round: u64,
-    rows: u32,
-    reason: ShedReason,
-    shed_total: u64,
-    degraded_total: u64,
-) {
+/// shed for `reason`. `shed_total` is the server's running count of
+/// reports shed at the gate, echoed in every receipt so a client can
+/// adapt without polling.
+pub fn encode_nack(buf: &mut Vec<u8>, round: u64, rows: u32, reason: ShedReason, shed_total: u64) {
     let start = put_header_placeholder(buf, FrameKind::Nack);
     buf.extend_from_slice(&round.to_le_bytes());
     buf.extend_from_slice(&rows.to_le_bytes());
     buf.push(reason.code());
     buf.extend_from_slice(&shed_total.to_le_bytes());
-    buf.extend_from_slice(&degraded_total.to_le_bytes());
     finish_frame(buf, start);
 }
 
@@ -494,8 +494,6 @@ pub enum WireFrame {
         round: u64,
         /// Echoed row count.
         rows: u32,
-        /// Whether the batch was scored on the degraded cheap path.
-        degraded: bool,
     },
     /// The peer shed a batch.
     Nack {
@@ -507,8 +505,6 @@ pub enum WireFrame {
         reason: ShedReason,
         /// Reports the server has shed at its gate so far.
         shed_total: u64,
-        /// Reports the server has accepted in degraded mode so far.
-        degraded_total: u64,
     },
     /// The peer asked for an observability snapshot.
     StatsRequest,
@@ -580,7 +576,8 @@ fn read_append(
 /// `Read` that survives read timeouts mid-frame (partial bytes are kept
 /// across [`FramePoll::Pending`]) and reuses every buffer, so a
 /// long-lived connection decodes batches with **zero per-report
-/// allocation** after warm-up.
+/// allocation** after warm-up. Estimates land verbatim, non-finite ones
+/// included (see the [module docs](self) for how they score).
 pub struct WireDecoder {
     group_count: usize,
     /// Bytes of the in-progress frame (header + payload so far).
@@ -848,7 +845,7 @@ impl WireDecoder {
     fn decode_response(kind: FrameKind, payload: &[u8]) -> Result<WireFrame, WireError> {
         let expected_len = match kind {
             FrameKind::Ack => 13,
-            FrameKind::Nack => 29,
+            FrameKind::Nack => 21,
             _ => unreachable!("only receipts take the response path"),
         };
         if payload.len() != expected_len {
@@ -861,20 +858,13 @@ impl WireDecoder {
         let rows = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
         let flag = payload[12];
         Ok(match kind {
-            FrameKind::Ack => WireFrame::Ack {
-                round,
-                rows,
-                degraded: match flag {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(WireError::InvalidEnum {
-                            field: "ack degraded flag",
-                            found: other,
-                        })
-                    }
-                },
-            },
+            FrameKind::Ack if flag != 0 => {
+                return Err(WireError::InvalidEnum {
+                    field: "ack reserved byte",
+                    found: flag,
+                })
+            }
+            FrameKind::Ack => WireFrame::Ack { round, rows },
             FrameKind::Nack => WireFrame::Nack {
                 round,
                 rows,
@@ -883,7 +873,6 @@ impl WireDecoder {
                     found: flag,
                 })?,
                 shed_total: u64::from_le_bytes(payload[13..21].try_into().expect("8 bytes")),
-                degraded_total: u64::from_le_bytes(payload[21..29].try_into().expect("8 bytes")),
             },
             _ => unreachable!("only receipts take the response path"),
         })
@@ -926,9 +915,9 @@ mod tests {
     fn responses_round_trip_and_streams_interleave() {
         let (nodes, batch) = sample_batch();
         let mut wire = Vec::new();
-        encode_ack(&mut wire, 7, 128, true);
+        encode_ack(&mut wire, 7, 128);
         encode_batch(&mut wire, 8, &nodes, &batch);
-        encode_nack(&mut wire, 9, 64, ShedReason::Overloaded, 640, 128);
+        encode_nack(&mut wire, 9, 64, ShedReason::Overloaded, 640);
 
         let mut decoder = WireDecoder::new(6);
         let mut cursor = Cursor::new(&wire);
@@ -936,8 +925,7 @@ mod tests {
             decoder.poll_frame(&mut cursor).unwrap(),
             FramePoll::Frame(WireFrame::Ack {
                 round: 7,
-                rows: 128,
-                degraded: true
+                rows: 128
             })
         );
         assert_eq!(
@@ -951,7 +939,6 @@ mod tests {
                 rows: 64,
                 reason: ShedReason::Overloaded,
                 shed_total: 640,
-                degraded_total: 128,
             })
         );
         assert_eq!(decoder.poll_frame(&mut cursor).unwrap(), FramePoll::Closed);

@@ -8,9 +8,13 @@
 //!   codec. Frames carry the batch's CSR arrays verbatim; the decoder
 //!   validates once at the boundary and lands rows with zero per-report
 //!   allocation. Everything malformed maps to a typed [`WireError`].
+//!   Estimates are carried verbatim: non-finite or out-of-area claims
+//!   decode like any other and score as maximally anomalous (see
+//!   `ServeRuntime::submit_rows`).
 //! * [`shed`] — the explicit overload policy: per-source token-bucket
-//!   rate limits, then degrade-to-cheap-kernel, then shed-with-NACK.
-//!   Queues never collapse; overload becomes receipts and counters.
+//!   rate limits, then shed-with-NACK past a queue-depth threshold,
+//!   otherwise accept. Queues never collapse; overload becomes receipts
+//!   and counters.
 //! * [`server`] / [`client`] — a std-only framed stream server (TCP and
 //!   Unix-domain accept loops, one reader thread per connection, graceful
 //!   drain) and the matching client used by tests, benches and
@@ -19,7 +23,7 @@
 //!   ([`WireClient::query_stats`]) and `HealthRequest` frames with either
 //!   a JSON health report or a Prometheus text exposition
 //!   ([`WireClient::query_health`], [`WireClient::scrape_prometheus`]),
-//!   and records shed / degrade / decode error events — with the
+//!   and records shed / decode error events — with the
 //!   offending peer address, sampled under pressure — into the runtime's
 //!   telemetry event ring.
 //!

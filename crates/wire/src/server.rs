@@ -5,7 +5,7 @@
 //! [`WireDecoder`] (read timeouts make every blocking
 //! read resumable, so shutdown is never stuck behind a silent peer), runs
 //! each batch through its connection's [`IngestGate`], and either submits
-//! to the runtime (full or degraded) and ACKs, or NACKs with a typed
+//! to the runtime and ACKs, or NACKs with a typed
 //! [`ShedReason`] — the bounded shard queues still provide backpressure,
 //! but a shed decision never touches them, so overload shows up as NACKs
 //! and counters instead of unbounded latency.
@@ -232,8 +232,8 @@ impl ConnStream for UnixStream {
     }
 }
 
-/// Per-source event sampling rate for flood-prone kinds (Shed / Degrade):
-/// a connection's **first** such event is always recorded — the transition
+/// Per-source event sampling rate for Shed events: a connection's
+/// **first** one is always recorded — the transition
 /// into overload is the high-signal moment — then every Nth after it.
 /// Skipped events are one relaxed counter add
 /// ([`lad_telemetry::EventRing::note_sampled_out`]): no `String`
@@ -249,7 +249,7 @@ fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
     }
     let runtime = &shared.runtime;
     let telemetry = Arc::clone(runtime.telemetry());
-    // Resolved once: the label that ties this connection's Shed / Degrade /
+    // Resolved once: the label that ties this connection's Shed /
     // DecodeError events back to a source address.
     let peer = if telemetry.enabled() {
         stream.peer_label()
@@ -259,10 +259,9 @@ fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
     let mut decoder = WireDecoder::new(runtime.group_count());
     let mut gate = IngestGate::new(shared.policy);
     let mut out = Vec::new();
-    // Per-source (per-connection) occurrence counts driving the
+    // Per-source (per-connection) shed count driving the
     // first-then-every-Nth event sampling.
     let mut shed_seen = 0u64;
-    let mut degrade_seen = 0u64;
     let epoch = Instant::now();
     // Once the shutdown flag is seen, a partial frame gets until `deadline`
     // to finish arriving (it will be NACKed `Draining`) before the
@@ -306,15 +305,8 @@ fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
                         let detail = format!("{peer} {:?}", ShedReason::Draining);
                         telemetry.event(EventKind::Shed, round, rows as u64, 0, &detail);
                     }
-                    let c = runtime.counters();
-                    encode_nack(
-                        &mut out,
-                        round,
-                        rows,
-                        ShedReason::Draining,
-                        c.shed,
-                        c.degraded,
-                    );
+                    let shed_total = runtime.counters().shed;
+                    encode_nack(&mut out, round, rows, ShedReason::Draining, shed_total);
                     let _ = stream.write_all(&out);
                     return;
                 }
@@ -323,19 +315,7 @@ fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
                 match gate.decide(rows as u64, depth, now_nanos) {
                     GateDecision::Accept => {
                         runtime.submit_rows(round, decoder.nodes(), decoder.batch());
-                        encode_ack(&mut out, round, rows, false);
-                    }
-                    GateDecision::Degrade => {
-                        runtime.submit_rows_degraded(round, decoder.nodes(), decoder.batch());
-                        if telemetry.enabled() {
-                            degrade_seen += 1;
-                            if (degrade_seen - 1).is_multiple_of(EVENT_SAMPLE_EVERY) {
-                                telemetry.event(EventKind::Degrade, round, rows as u64, 0, &peer);
-                            } else {
-                                telemetry.ring().note_sampled_out(1);
-                            }
-                        }
-                        encode_ack(&mut out, round, rows, true);
+                        encode_ack(&mut out, round, rows);
                     }
                     GateDecision::Shed(reason) => {
                         runtime.record_shed(rows as u64);
@@ -350,8 +330,7 @@ fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
                                 telemetry.ring().note_sampled_out(1);
                             }
                         }
-                        let c = runtime.counters();
-                        encode_nack(&mut out, round, rows, reason, c.shed, c.degraded);
+                        encode_nack(&mut out, round, rows, reason, runtime.counters().shed);
                     }
                 }
                 if stream.write_all(&out).is_err() {

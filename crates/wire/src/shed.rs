@@ -10,11 +10,10 @@
 //!    report budget ([`ShedReason::RateLimited`]),
 //! 2. past the **shed** queue-depth threshold, whole batches are NACKed
 //!    ([`ShedReason::Overloaded`]) — shed, never silently queued,
-//! 3. past the (lower) **degrade** threshold, batches are accepted but
-//!    scored on the decision metric's cheap kernel
-//!    ([`GateDecision::Degrade`] → `ServeRuntime::submit_rows_degraded`),
-//!    which keeps alarm decisions bit-identical at a fraction of the cost,
-//! 4. otherwise batches are accepted on the full path.
+//! 3. otherwise batches are accepted (`ServeRuntime::submit_rows`).
+//!
+//! There is no cheaper scoring tier to fall back to: every shard already
+//! scores only the decision metric's column.
 //!
 //! The gate never collapses a queue and never blocks: overload shows up as
 //! NACKs and counters, and tail latency for surviving traffic stays
@@ -81,12 +80,8 @@ pub struct RateLimit {
 pub struct OverloadPolicy {
     /// Per-source token-bucket rate limit (`None` = unlimited).
     pub rate_limit: Option<RateLimit>,
-    /// Runtime queue depth (in reports) at which accepted batches switch
-    /// to degraded scoring (`None` = never degrade).
-    pub degrade_queue_depth: Option<u64>,
     /// Runtime queue depth (in reports) at which whole batches are shed
-    /// with [`ShedReason::Overloaded`] (`None` = never shed). Set this
-    /// above `degrade_queue_depth`: degrading is the cheaper first resort.
+    /// with [`ShedReason::Overloaded`] (`None` = never shed).
     pub shed_queue_depth: Option<u64>,
 }
 
@@ -97,12 +92,6 @@ impl OverloadPolicy {
             reports_per_sec,
             burst,
         });
-        self
-    }
-
-    /// Returns a copy that degrades scoring past `depth` queued reports.
-    pub fn with_degrade_depth(mut self, depth: u64) -> Self {
-        self.degrade_queue_depth = Some(depth);
         self
     }
 
@@ -154,11 +143,8 @@ impl TokenBucket {
 /// What the gate decided for one batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateDecision {
-    /// Accept on the full scoring path.
+    /// Accept into the scoring pipeline.
     Accept,
-    /// Accept, but score on the decision metric's cheap kernel
-    /// (`ServeRuntime::submit_rows_degraded`). Decisions are bit-identical.
-    Degrade,
     /// NACK the whole batch; nothing reaches a queue.
     Shed(ShedReason),
 }
@@ -186,7 +172,7 @@ impl IngestGate {
     ///
     /// Order matters: the rate limit is checked first (a hot source is
     /// *its own* problem and must not consume shed headroom), then the
-    /// shed threshold, then the degrade threshold.
+    /// shed threshold.
     pub fn decide(&mut self, rows: u64, queue_depth: u64, now_nanos: u64) -> GateDecision {
         if let Some(bucket) = &mut self.bucket {
             if !bucket.try_take(rows as f64, now_nanos) {
@@ -196,11 +182,6 @@ impl IngestGate {
         if let Some(depth) = self.policy.shed_queue_depth {
             if queue_depth >= depth {
                 return GateDecision::Shed(ShedReason::Overloaded);
-            }
-        }
-        if let Some(depth) = self.policy.degrade_queue_depth {
-            if queue_depth >= depth {
-                return GateDecision::Degrade;
             }
         }
         GateDecision::Accept
@@ -238,16 +219,14 @@ mod tests {
     }
 
     #[test]
-    fn gate_orders_rate_shed_degrade_accept() {
+    fn gate_orders_rate_shed_accept() {
         let policy = OverloadPolicy::default()
             .with_rate_limit(10.0, 10.0)
-            .with_degrade_depth(100)
             .with_shed_depth(200);
         let mut gate = IngestGate::new(policy);
-        // Idle queue, within budget → full path.
+        // Within budget, below the shed threshold → accepted.
         assert_eq!(gate.decide(5, 0, 0), GateDecision::Accept);
-        // Past the degrade threshold → cheap path.
-        assert_eq!(gate.decide(5, 150, SEC), GateDecision::Degrade);
+        assert_eq!(gate.decide(5, 199, SEC), GateDecision::Accept);
         // Past the shed threshold → NACK Overloaded.
         assert_eq!(
             gate.decide(1, 200, 2 * SEC),

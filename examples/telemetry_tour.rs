@@ -6,7 +6,7 @@
 //! telemetry fold — per-stage latency percentiles (decode → gate →
 //! queue-wait → score → detector-update → drain → response-step),
 //! fold-time queue gauges, and the structured event ring (alarms fired,
-//! batches shed or degraded with their source address, revocation
+//! batches shed with their source address, revocation
 //! installs). All of it is derived state: nothing here is consulted by
 //! any decision, so the alarm stream is bit-identical with telemetry on
 //! or off.
@@ -101,7 +101,7 @@ fn main() {
             .send_rows(round, &batch_nodes, &rows)
             .expect("receipt arrives");
         assert!(
-            matches!(receipt.status, DeliveryStatus::Accepted { .. }),
+            matches!(receipt.status, DeliveryStatus::Accepted),
             "clean-rate traffic must be accepted"
         );
         let outcome = controller.step(&runtime, round);

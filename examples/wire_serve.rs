@@ -5,8 +5,8 @@
 //! The same scenario as `online_serve`, but every report crosses a real
 //! TCP connection as a versioned binary frame: a client encodes each
 //! round's CSR batch, the server decodes and validates it once at the
-//! boundary, the ingest gate decides full / degraded / shed, and a typed
-//! receipt comes back. A final burst at many times the configured rate
+//! boundary, the ingest gate decides accept / shed (rate limit first, then
+//! queue depth), and a typed receipt comes back. A final burst at many times the configured rate
 //! shows the load-shed path: NACKs with reasons, counters that add up,
 //! and a runtime whose queues never collapsed.
 //!
@@ -121,7 +121,7 @@ fn main() {
     for _ in &rounds {
         let receipt = client.recv_delivery().expect("receipt arrives");
         match receipt.status {
-            DeliveryStatus::Accepted { .. } => accepted += receipt.rows as u64,
+            DeliveryStatus::Accepted => accepted += receipt.rows as u64,
             DeliveryStatus::Shed { reason, .. } => {
                 panic!("live traffic unexpectedly shed: {reason:?}")
             }
@@ -141,7 +141,7 @@ fn main() {
     for (round, nodes, rows) in &rounds {
         let receipt = client.send_rows(*round, nodes, rows).expect("receipt");
         match receipt.status {
-            DeliveryStatus::Accepted { .. } => flood_accepted += receipt.rows as u64,
+            DeliveryStatus::Accepted => flood_accepted += receipt.rows as u64,
             DeliveryStatus::Shed {
                 reason: ShedReason::RateLimited,
                 ..

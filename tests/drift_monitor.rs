@@ -224,6 +224,19 @@ fn versioned_artifacts_reject_the_future_loudly() {
     let stats = ServeStats::from_json(&stats_json).expect("current stats parse");
     assert_eq!(stats.stats_version, STATS_VERSION);
     assert!(stats.drift.enabled);
+    // A v1 export (the layout with a `degraded` counter) and a future one
+    // are both refused by version, before any other field is read.
+    let v1 = stats_json
+        .replacen(
+            &format!("\"stats_version\":{STATS_VERSION}"),
+            "\"stats_version\":1",
+            1,
+        )
+        .replacen("\"suppressed\":", "\"degraded\":0,\"suppressed\":", 1);
+    assert_eq!(
+        ServeStats::from_json(&v1),
+        Err(ServeError::UnsupportedVersion { found: 1 })
+    );
     let future = stats_json.replacen(
         &format!("\"stats_version\":{STATS_VERSION}"),
         "\"stats_version\":99",

@@ -5,7 +5,7 @@
 //! `SupportIndex` grid seams), out-of-area fallback estimates, and
 //! eviction churn under adversarially tiny capacities. On top of the raw µ
 //! equality, the engine's cached row-scoring entry points must reproduce
-//! the uncached ones bit for bit, full and degraded alike.
+//! the uncached ones bit for bit, all-metrics and single-metric alike.
 
 use lad_core::{LadEngine, MetricKind};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
@@ -107,10 +107,10 @@ proptest! {
         }
     }
 
-    /// The engine's cached sequential row scoring (the serve shard's hot
-    /// path) equals the uncached kernel bit for bit, for the fused
-    /// all-metrics pass and the degraded single-metric pass, even when the
-    /// cache is so small that almost every row evicts.
+    /// The engine's cached sequential row scoring equals the uncached
+    /// kernel bit for bit, for the fused all-metrics pass and the
+    /// single-metric pass a serve shard runs, even when the cache is so
+    /// small that almost every row evicts.
     #[test]
     fn prop_engine_cached_scoring_is_bit_identical(
         capacity in 1usize..32,
@@ -134,20 +134,19 @@ proptest! {
             let j = (i % 8) as f64;
             rows.push(&obs, Point2::new(j * 53.1, ((seed % 7) as f64) * 61.7));
         }
-        let width = engine.metrics().len();
-        let mut uncached = vec![0.0; rows.len() * width];
-        engine.score_rows_seq_into(&rows, &mut uncached);
+        let mut uncached = Vec::new();
+        engine.score_rows_into(&rows, &mut uncached);
 
         let mut cache = MuCache::new(capacity);
-        let mut cached = vec![0.0; rows.len() * width];
+        let mut cached = vec![0.0; uncached.len()];
         engine.score_rows_seq_cached_into(&rows, &mut cache, &mut cached);
         for (c, u) in cached.iter().zip(&uncached) {
             prop_assert_eq!(c.to_bits(), u.to_bits());
         }
         prop_assert_eq!(cache.hits() + cache.misses(), rows.len() as u64);
 
-        // Degraded path, reusing the (now dirty) cache: history must not
-        // matter.
+        // Single-metric serve path, reusing the (now dirty) cache: history
+        // must not matter.
         for kind in MetricKind::ALL {
             let mut one_uncached = vec![0.0; rows.len()];
             engine.score_rows_seq_one_into(&rows, kind, &mut one_uncached);

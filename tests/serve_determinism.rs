@@ -8,8 +8,16 @@
 //! as shard-invariant, and the full per-node alarm sequences — scores,
 //! statistics and claimed estimates included — must match bit for bit
 //! once the drained stream is sorted by `(node, round)`.
+//!
+//! Shard counts compared with each other cannot catch a wrong
+//! metric → column mapping on the shard's single-column kernel, so the
+//! served alarms are also pinned to an offline oracle built from the
+//! all-metrics fused pass, for every decision metric.
 
+use lad::net::ObservationBatch;
 use lad::prelude::*;
+use lad::wire::{encode_batch, FramePoll, WireDecoder, WireFrame};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn engine() -> Arc<LadEngine> {
@@ -70,8 +78,8 @@ fn run_trace_cached(
     alarms.sort_unstable();
     let report = runtime.shutdown();
     assert_eq!(report.counters.submitted, report.counters.processed);
-    // Cache telemetry accounting: with memoization on, every full-mode
-    // report is exactly one cache lookup; with it off, the counters stay 0.
+    // Cache telemetry accounting: with memoization on, every report is
+    // exactly one cache lookup; with it off, the counters stay 0.
     let lookups = report.counters.mu_cache_hits + report.counters.mu_cache_misses;
     if mu_cache_capacity == 0 {
         assert_eq!(lookups, 0, "disabled cache must record no lookups");
@@ -132,6 +140,188 @@ fn alarm_sets_and_final_states_are_identical_at_1_2_and_8_shards() {
     let (again, snapshot_again) = run_trace(&engine, &network, &traffic, detector, 2, rounds);
     assert_eq!(alarms_1, again);
     assert_eq!(snapshot_1.states, snapshot_again.states);
+}
+
+/// One round of reports as flat CSR rows.
+type Round = (u64, Vec<NodeId>, ObservationBatch);
+
+/// The offline oracle: the full-width fused pass (`score_rows_into`), the
+/// decision metric's column of it, and one detector state per node, reset
+/// on alarm like the runtime's default. Sorted `(node, round, score bits)`.
+fn oracle_alarms(
+    engine: &LadEngine,
+    metric: MetricKind,
+    detector: SequentialDetector,
+    rounds: &[Round],
+) -> Vec<(u32, u64, u64)> {
+    let width = engine.metrics().len();
+    let column = engine.metric_index(metric).expect("metric configured");
+    let mut states: HashMap<u32, SequentialState> = HashMap::new();
+    let mut scores = Vec::new();
+    let mut alarms = Vec::new();
+    for (round, nodes, rows) in rounds {
+        engine.score_rows_into(rows, &mut scores);
+        for (node, row) in nodes.iter().zip(scores.chunks_exact(width)) {
+            let state = states
+                .entry(node.0)
+                .or_insert_with(|| detector.initial_state());
+            if detector.update(state, row[column]) {
+                alarms.push((node.0, *round, row[column].to_bits()));
+                detector.reset(state);
+            }
+        }
+    }
+    alarms.sort_unstable();
+    alarms
+}
+
+/// Serves `rounds` through a fresh runtime; sorted `(node, round, score
+/// bits)` of every alarm.
+fn served_alarms(
+    engine: &Arc<LadEngine>,
+    config: ServeConfig,
+    rounds: &[Round],
+) -> Vec<(u32, u64, u64)> {
+    let runtime = ServeRuntime::start(engine.clone(), config).expect("runtime starts");
+    for (round, nodes, rows) in rounds {
+        runtime.submit_rows(*round, nodes, rows);
+    }
+    let mut alarms: Vec<(u32, u64, u64)> = runtime
+        .drain_alarms()
+        .into_iter()
+        .map(|a| (a.node.0, a.round, a.score.to_bits()))
+        .collect();
+    alarms.sort_unstable();
+    runtime.shutdown();
+    alarms
+}
+
+#[test]
+fn served_alarms_match_the_full_width_offline_oracle_for_every_metric() {
+    let engine = engine();
+    let network = Network::generate(engine.knowledge().clone(), 0xD3C);
+    let nodes: Vec<NodeId> = (0..64u32).map(|i| NodeId(i * 9)).collect();
+    let clean = TrafficModel::clean(&network, &engine, nodes, 0xFACADE);
+    for metric in MetricKind::ALL {
+        let traffic = clean.with_attack(
+            AttackTimeline::Onset { at: 6 },
+            AttackConfig {
+                degree_of_damage: 150.0,
+                compromised_fraction: 0.2,
+                class: AttackClass::DecBounded,
+                targeted_metric: metric,
+            },
+            0.4,
+        );
+        let streams = clean.score_streams(&network, &engine, metric, 0..16);
+        let detector = SequentialDetector::calibrate_cusum(streams.iter().map(Vec::as_slice), 0.01);
+        let rounds: Vec<Round> = (0..20)
+            .map(|round| {
+                let mut nodes = Vec::new();
+                let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+                traffic.round_rows(&network, round, &mut nodes, &mut rows);
+                (round, nodes, rows)
+            })
+            .collect();
+        let expected = oracle_alarms(&engine, metric, detector, &rounds);
+        assert!(
+            !expected.is_empty(),
+            "the attack must alarm on {}",
+            metric.name()
+        );
+        let default_capacity = ServeConfig::new(metric, detector).mu_cache_capacity;
+        for shards in [1usize, 2, 8] {
+            for capacity in [0, default_capacity] {
+                let config = ServeConfig::new(metric, detector)
+                    .with_shards(shards)
+                    .with_mu_cache_capacity(capacity);
+                assert_eq!(
+                    served_alarms(&engine, config, &rounds),
+                    expected,
+                    "{} at {shards} shards, µ cache {capacity}",
+                    metric.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn non_finite_and_far_estimates_score_alarm_biased_and_match_offline() {
+    // Garbage claims paired with honest observations. None is rejected at
+    // the boundary: each decodes, scores as a claim far from every group,
+    // and the shard's single-column score equals the fused pass's column.
+    let engine = engine();
+    let network = Network::generate(engine.knowledge().clone(), 0xD3D);
+    let estimates = [
+        Point2::new(f64::NAN, 100.0),
+        Point2::new(100.0, f64::NAN),
+        Point2::new(f64::INFINITY, 100.0),
+        Point2::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        Point2::new(1e300, 1e300),
+        Point2::new(-1e300, 50.0),
+    ];
+    let n = engine.knowledge().group_count();
+    // Reporters that hear at least one neighbour: an empty observation
+    // claimed nowhere is a perfect (all-zero) match, not an anomaly.
+    let nodes: Vec<NodeId> = (0..network.node_count() as u32)
+        .map(NodeId)
+        .filter(|&node| network.true_observation(node).total() > 0)
+        .take(estimates.len())
+        .collect();
+    let mut sent = ObservationBatch::new(n);
+    for (&node, &at) in nodes.iter().zip(&estimates) {
+        sent.push(&network.true_observation(node), at);
+    }
+    let mut frame = Vec::new();
+    encode_batch(&mut frame, 0, &nodes, &sent);
+    let mut decoder = WireDecoder::new(n);
+    assert_eq!(
+        decoder.poll_frame(&mut std::io::Cursor::new(&frame)),
+        Ok(FramePoll::Frame(WireFrame::Batch { round: 0, rows: 6 }))
+    );
+    let rows = decoder.batch();
+
+    let mut offline = Vec::new();
+    engine.score_rows_into(rows, &mut offline);
+    let width = engine.metrics().len();
+    // Alarms on every finite score, so each alarm carries its report's
+    // served score.
+    let always = SequentialDetector::WindowedCount {
+        score_threshold: f64::NEG_INFINITY,
+        window: 1,
+        min_count: 1,
+    };
+    let prob_floor = -(1e-300f64).ln();
+    for metric in MetricKind::ALL {
+        let column = engine.metric_index(metric).expect("metric configured");
+        for capacity in [0usize, 64] {
+            let runtime = ServeRuntime::start(
+                engine.clone(),
+                ServeConfig::new(metric, always).with_mu_cache_capacity(capacity),
+            )
+            .expect("runtime starts");
+            runtime.submit_rows(0, decoder.nodes(), rows);
+            let mut served = runtime.drain_alarms();
+            runtime.shutdown();
+            served.sort_by_key(|a| a.node.0);
+            assert_eq!(served.len(), estimates.len(), "{}", metric.name());
+            for (i, alarm) in served.iter().enumerate() {
+                let expected = offline[i * width + column];
+                assert_eq!(
+                    alarm.score.to_bits(),
+                    expected.to_bits(),
+                    "{} row {i}",
+                    metric.name()
+                );
+                if metric == MetricKind::Probability {
+                    assert!((alarm.score - prob_floor).abs() < 1e-9, "{}", alarm.score);
+                } else {
+                    assert_eq!(alarm.score, rows.row(i).total as f64, "{}", metric.name());
+                }
+            }
+        }
+    }
 }
 
 #[test]

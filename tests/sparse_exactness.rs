@@ -190,19 +190,16 @@ fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
         requests.push(DetectionRequest::new(obs, at));
     }
     // Three entry points, one answer: nested Vec batch, flat dense-request
-    // batch, flat CSR row batch (parallel) and the sequential row kernel.
+    // batch and flat CSR row batch.
     let nested = engine.score_batch(&requests);
     let mut flat_requests = Vec::new();
     engine.score_batch_into(&requests, &mut flat_requests);
     let mut flat_rows = Vec::new();
     engine.score_rows_into(&rows, &mut flat_rows);
-    let mut seq_rows = vec![0.0; rows.len() * engine.metrics().len()];
-    engine.score_rows_seq_into(&rows, &mut seq_rows);
     assert_eq!(flat_rows, flat_requests);
-    assert_eq!(flat_rows, seq_rows);
-    // The degraded-serving kernel: each single-metric column reproduces
-    // the fused pass's column bit for bit (what lets the wire front door
-    // degrade under load without changing any alarm decision).
+    // The serve shard kernel: each single-metric column reproduces the
+    // fused pass's column bit for bit (what lets a shard score only its
+    // decision metric without changing any alarm decision).
     let width = engine.metrics().len();
     for (k, &kind) in engine.metrics().iter().enumerate() {
         let mut one = vec![0.0; rows.len()];
@@ -210,7 +207,7 @@ fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
         for (r, &score) in one.iter().enumerate() {
             assert_eq!(
                 score.to_bits(),
-                seq_rows[r * width + k].to_bits(),
+                flat_rows[r * width + k].to_bits(),
                 "single-metric column {} row {r}",
                 kind.name()
             );

@@ -168,8 +168,8 @@ proptest! {
         let (nodes, batch) = build_batch(group_count, rows, &dense, &coords);
         let mut wire = Vec::new();
         encode_batch(&mut wire, 9, &nodes, &batch);
-        encode_ack(&mut wire, 9, rows as u32, false);
-        encode_nack(&mut wire, 10, rows as u32, ShedReason::Overloaded, 64, 8);
+        encode_ack(&mut wire, 9, rows as u32);
+        encode_nack(&mut wire, 10, rows as u32, ShedReason::Overloaded, 64);
 
         // Flip one byte anywhere in the three-frame stream: every outcome
         // must be a decoded frame or a typed error — the decode loop below
@@ -226,14 +226,19 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
         Err(WireError::BadMagic { .. })
     ));
 
-    let mut bad_version = valid.clone();
-    bad_version[4..6].copy_from_slice(&7u16.to_le_bytes());
-    assert_eq!(
-        WireDecoder::new(4)
-            .poll_frame(&mut Cursor::new(&bad_version))
-            .unwrap_err(),
-        WireError::UnsupportedVersion { found: 7 }
-    );
+    // Any other version is refused from the header — including 3, the
+    // last version with the degrade tier's Ack flag and 29-byte Nack.
+    assert_eq!(WIRE_VERSION, 4);
+    for version in [3u16, 7] {
+        let mut bad_version = valid.clone();
+        bad_version[4..6].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            WireDecoder::new(4)
+                .poll_frame(&mut Cursor::new(&bad_version))
+                .unwrap_err(),
+            WireError::UnsupportedVersion { found: version }
+        );
+    }
 
     let mut bad_kind = valid.clone();
     bad_kind[6] = 0;
@@ -351,29 +356,48 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
         assert!(decoder.batch().is_empty(), "failed decode lands no rows");
     }
 
-    // Undefined enum bytes in receipts.
+    // Receipts: the Ack's trailing byte is reserved and must be zero
+    // (every nonzero value — including v3's "degraded" 1 — is rejected).
     let mut ack13 = batch_payload(0, 0, 0, 0, &[], &[], &[], &[], &[]);
     ack13.truncate(12);
-    ack13.push(2); // degraded flag ∉ {0, 1}
+    ack13.push(0);
+    for reserved in [1u8, 2, 0xFF] {
+        *ack13.last_mut().unwrap() = reserved;
+        assert_eq!(
+            WireDecoder::new(4)
+                .poll_frame(&mut Cursor::new(&raw_frame(2, &ack13)))
+                .unwrap_err(),
+            WireError::InvalidEnum {
+                field: "ack reserved byte",
+                found: reserved
+            }
+        );
+    }
+    // The v4 Nack is 21 bytes: round, rows, reason, shed_total.
+    let mut nack21 = ack13.clone();
+    *nack21.last_mut().unwrap() = 0; // shed reason 0 is undefined
+    nack21.extend_from_slice(&[0u8; 8]); // shed total
     assert_eq!(
         WireDecoder::new(4)
-            .poll_frame(&mut Cursor::new(&raw_frame(2, &ack13)))
-            .unwrap_err(),
-        WireError::InvalidEnum {
-            field: "ack degraded flag",
-            found: 2
-        }
-    );
-    let mut nack29 = ack13.clone();
-    *nack29.last_mut().unwrap() = 0; // shed reason 0 is undefined
-    nack29.extend_from_slice(&[0u8; 16]); // shed/degraded totals
-    assert_eq!(
-        WireDecoder::new(4)
-            .poll_frame(&mut Cursor::new(&raw_frame(3, &nack29)))
+            .poll_frame(&mut Cursor::new(&raw_frame(3, &nack21)))
             .unwrap_err(),
         WireError::InvalidEnum {
             field: "nack shed reason",
             found: 0
+        }
+    );
+    let mut nack = Vec::new();
+    encode_nack(&mut nack, 3, 7, ShedReason::RateLimited, 42);
+    assert_eq!(nack.len(), HEADER_LEN + 21);
+    // The v3 Nack's 29 bytes (with a degraded total) no longer fit.
+    nack21.extend_from_slice(&[0u8; 8]);
+    assert_eq!(
+        WireDecoder::new(4)
+            .poll_frame(&mut Cursor::new(&raw_frame(3, &nack21)))
+            .unwrap_err(),
+        WireError::BadPayload {
+            kind: FrameKind::Nack,
+            len: 29
         }
     );
 }

@@ -1,5 +1,5 @@
-//! The wire front door under load: liveness, typed shedding, degraded
-//! scoring, and the bit-identity of surviving traffic.
+//! The wire front door under load: liveness, typed shedding, and the
+//! bit-identity of surviving traffic.
 //!
 //! The acceptance bar: a server offered a multiple of what its policy
 //! admits must stay live (every offered batch gets a typed receipt — no
@@ -123,7 +123,7 @@ fn tcp_alarms_are_bit_identical_to_in_process_submission() {
         let receipt = client.send_rows(round, &nodes, &rows).unwrap();
         assert_eq!(receipt.round, round);
         assert_eq!(receipt.rows as usize, nodes.len());
-        assert_eq!(receipt.status, DeliveryStatus::Accepted { degraded: false });
+        assert_eq!(receipt.status, DeliveryStatus::Accepted);
         offered_reports += nodes.len() as u64;
     }
     let wire_alarms = alarm_bits(&runtime);
@@ -131,7 +131,6 @@ fn tcp_alarms_are_bit_identical_to_in_process_submission() {
     let counters = runtime.counters();
     assert_eq!(counters.decode_errors, 0);
     assert_eq!(counters.shed, 0);
-    assert_eq!(counters.degraded, 0);
     assert_eq!(counters.submitted, offered_reports);
 
     // Same workload, no wire, different shard count.
@@ -146,42 +145,65 @@ fn tcp_alarms_are_bit_identical_to_in_process_submission() {
 }
 
 #[test]
-fn degraded_gate_decisions_stay_bit_identical_and_are_reported() {
+fn admitted_decisions_match_the_fused_pass_and_are_reported() {
+    // Every admitted batch takes the shard's single-column kernel: alarms
+    // raised over TCP carry exactly the decision column of the all-metrics
+    // fused pass, and receipts plus counters account for every report.
     let engine = engine();
     let (network, traffic, detector) = scenario(&engine, 32);
     let runtime = Arc::new(
         ServeRuntime::start(
             engine.clone(),
-            ServeConfig::new(MetricKind::Diff, detector).with_shards(2),
+            ServeConfig::new(MetricKind::Diff, detector).with_shards(3),
         )
         .unwrap(),
     );
-    // degrade_queue_depth 0: every accepted batch takes the cheap kernel.
-    let config = WireServerConfig::tcp("127.0.0.1:0")
-        .with_policy(OverloadPolicy::default().with_degrade_depth(0));
-    let server = WireServer::start(runtime.clone(), config).unwrap();
+    let server = WireServer::start(runtime.clone(), WireServerConfig::tcp("127.0.0.1:0")).unwrap();
     let mut client = WireClient::connect_tcp(server.tcp_addr().unwrap()).unwrap();
 
-    let rounds: Vec<u64> = (0..14).collect();
+    let width = engine.metrics().len();
+    let column = engine.metric_index(MetricKind::Diff).unwrap();
+    let mut states = std::collections::HashMap::new();
+    let mut expected = Vec::new();
+    let mut scores = Vec::new();
     let mut offered_reports = 0u64;
-    for &round in &rounds {
+    for round in 0..14 {
         let (nodes, rows) = round_rows(&traffic, &network, &engine, round);
         let receipt = client.send_rows(round, &nodes, &rows).unwrap();
-        assert_eq!(receipt.status, DeliveryStatus::Accepted { degraded: true });
+        assert_eq!(receipt.status, DeliveryStatus::Accepted);
+        assert_eq!(receipt.rows as usize, nodes.len());
         offered_reports += nodes.len() as u64;
+        engine.score_rows_into(&rows, &mut scores);
+        for (node, row) in nodes.iter().zip(scores.chunks_exact(width)) {
+            let state = states
+                .entry(node.0)
+                .or_insert_with(|| detector.initial_state());
+            if detector.update(state, row[column]) {
+                expected.push((node.0, round, row[column].to_bits()));
+                detector.reset(state);
+            }
+        }
     }
-    let wire_alarms = alarm_bits(&runtime);
+    expected.sort_unstable();
+    let mut wire_alarms: Vec<(u32, u64, u64)> = runtime
+        .drain_alarms()
+        .into_iter()
+        .map(|a| (a.node.0, a.round, a.score.to_bits()))
+        .collect();
+    wire_alarms.sort_unstable();
     server.shutdown();
-    let counters = runtime.counters();
-    assert_eq!(counters.degraded, counters.submitted);
-    assert_eq!(counters.submitted, offered_reports);
-
-    let (local_alarms, _) = replay_in_process(&engine, &network, &traffic, detector, 3, &rounds);
     assert!(!wire_alarms.is_empty(), "the attack must fire");
     assert_eq!(
-        wire_alarms, local_alarms,
-        "degraded wire scoring must match the full in-process path bit for bit"
+        wire_alarms, expected,
+        "served scores must equal the fused pass's decision column"
     );
+
+    let counters = runtime.counters();
+    assert_eq!(counters.submitted, offered_reports);
+    assert_eq!(counters.processed, offered_reports);
+    assert_eq!(counters.alarms as usize, wire_alarms.len());
+    assert_eq!(counters.shed, 0);
+    assert_eq!(counters.decode_errors, 0);
 }
 
 #[test]
@@ -218,7 +240,7 @@ fn saturation_sheds_typed_stays_live_and_survivors_match_in_process() {
     for _ in &offered {
         let receipt = client.recv_delivery().unwrap();
         match receipt.status {
-            DeliveryStatus::Accepted { .. } => {
+            DeliveryStatus::Accepted => {
                 accepted_rounds.push(receipt.round);
                 accepted_reports += receipt.rows as u64;
             }
@@ -281,12 +303,7 @@ fn shed_depth_zero_nacks_everything_overloaded() {
     for round in 0..3 {
         let (nodes, rows) = round_rows(&traffic, &network, &engine, round);
         let receipt = client.send_rows(round, &nodes, &rows).unwrap();
-        let DeliveryStatus::Shed {
-            reason,
-            shed_total,
-            degraded_total,
-        } = receipt.status
-        else {
+        let DeliveryStatus::Shed { reason, shed_total } = receipt.status else {
             panic!("batch must be shed at depth 0, got {:?}", receipt.status);
         };
         assert_eq!(reason, ShedReason::Overloaded);
@@ -294,7 +311,6 @@ fn shed_depth_zero_nacks_everything_overloaded() {
         // The NACK carries the server's running totals so a sender can
         // adapt without a stats round-trip.
         assert_eq!(shed_total, offered_reports);
-        assert_eq!(degraded_total, 0);
     }
     server.shutdown();
     let counters = runtime.counters();
@@ -318,7 +334,7 @@ fn uds_front_door_round_trips_and_cleans_up() {
     for round in 0..3 {
         let (nodes, rows) = round_rows(&traffic, &network, &engine, round);
         let receipt = client.send_rows(round, &nodes, &rows).unwrap();
-        assert_eq!(receipt.status, DeliveryStatus::Accepted { degraded: false });
+        assert_eq!(receipt.status, DeliveryStatus::Accepted);
         offered_reports += nodes.len() as u64;
     }
     server.shutdown();
@@ -366,7 +382,7 @@ fn garbage_frames_count_as_decode_errors_and_leave_the_server_live() {
     // The server survived both: a well-behaved client still gets through.
     let mut client = WireClient::connect_tcp(addr).unwrap();
     let receipt = client.send_rows(0, &nodes, &rows).unwrap();
-    assert_eq!(receipt.status, DeliveryStatus::Accepted { degraded: false });
+    assert_eq!(receipt.status, DeliveryStatus::Accepted);
     server.shutdown();
     let counters = runtime.counters();
     assert_eq!(counters.decode_errors, 2);
