@@ -100,14 +100,14 @@ fn bench_kernels(c: &mut Criterion) {
         let mut smu = SparseMu::new();
         b.iter(|| {
             paper_knowledge.expected_sparse_into(black_box(paper_at), &mut smu);
-            score_all_fused_sparse(black_box(paper_batch.row(0)), &smu)
+            score_all_fused_sparse(black_box(paper_batch.row(0)), smu.view())
         })
     });
     group.bench_function("fused_score_sparse_dense_obs_paper_scale", |b| {
         let mut smu = SparseMu::new();
         b.iter(|| {
             paper_knowledge.expected_sparse_into(black_box(paper_at), &mut smu);
-            score_all_fused_sparse_obs(black_box(&paper_obs), &smu)
+            score_all_fused_sparse_obs(black_box(&paper_obs), smu.view())
         })
     });
     group.bench_function("expected_sparse_into_paper_scale", |b| {
@@ -147,7 +147,7 @@ fn bench_kernels(c: &mut Criterion) {
         let mut smu = SparseMu::new();
         b.iter(|| {
             big_knowledge.expected_sparse_into(black_box(big_at), &mut smu);
-            score_all_fused_sparse(black_box(big_batch.row(0)), &smu)
+            score_all_fused_sparse(black_box(big_batch.row(0)), smu.view())
         })
     });
     group.bench_function("greedy_taint_diff_dec_bounded", |b| {

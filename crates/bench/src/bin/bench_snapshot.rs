@@ -1,7 +1,7 @@
 //! `bench_snapshot` — the perf-trajectory snapshot binary.
 //!
 //! Runs the headline microbenches in quick mode — the fused scoring
-//! kernel (dense vs scalar-sparse vs SoA-sparse vs memoized, paper scale
+//! kernel (dense vs sparse fill vs memoized cache hit, paper scale
 //! and a 4× same-density deployment), sustained serve throughput over a
 //! cores-aware shard curve with the µ cache on and off, the
 //! response-hook idle overhead (with an asserted bound), the telemetry
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! cargo run --release -p lad_bench --bin bench_snapshot -- \
-//!     [--out BENCH_12.json] [--quick] [--compare BENCH_12.json]
+//!     [--out BENCH_13.json] [--quick] [--compare BENCH_13.json]
 //! ```
 //!
 //! `--quick` shrinks iteration counts for CI; `--compare` prints
@@ -26,9 +26,7 @@
 
 use lad_core::engine::LadEngine;
 use lad_core::expected::rounded_expected;
-use lad_core::metrics::{
-    score_all_fused, score_all_fused_sparse, score_all_fused_sparse_soa, FusedSoaScratch,
-};
+use lad_core::metrics::{score_all_fused, score_all_fused_sparse};
 use lad_core::{ExpectedObservation, MetricKind};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
 use lad_geometry::Point2;
@@ -42,8 +40,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One kernel measurement: the dense path vs the sparse scalar pass vs the
-/// SoA pass vs the memoized (cache-hit) SoA pass, all bit-identical.
+/// One kernel measurement: the dense path vs the sparse fill + fused pass vs
+/// the memoized (cache-hit) fused pass, all bit-identical.
 #[derive(Debug, Serialize)]
 struct KernelScale {
     /// Number of deployment groups `n`.
@@ -54,16 +52,12 @@ struct KernelScale {
     dense_ns_per_score: f64,
     /// Full per-request sparse path: support fill + scalar fused scan, ns.
     sparse_ns_per_score: f64,
-    /// Support fill + SoA fused scan (single merge, 4-wide pmf lanes), ns.
-    soa_ns_per_score: f64,
-    /// Cache-hit µ lookup + SoA fused scan — the serve hot path on a
-    /// repeated estimate, ns.
-    cached_soa_ns_per_score: f64,
+    /// Cache-hit µ lookup + fused scan over the slot's arrays in place —
+    /// the serve hot path on a repeated estimate, ns.
+    cached_ns_per_score: f64,
     /// dense / sparse (the PR-4 headline, kept comparable).
     speedup: f64,
-    /// scalar sparse / SoA (fill included in both).
-    soa_vs_scalar: f64,
-    /// scalar sparse / cached SoA (what memoization buys on a hit).
+    /// sparse / cached (what memoization buys on a hit).
     cached_vs_scalar: f64,
 }
 
@@ -219,29 +213,22 @@ fn kernel_scale(effort: Effort, cfg: &DeploymentConfig, at: Point2, obs_at: Poin
     });
     let sparse_ns = time_ns(effort, || {
         knowledge.expected_sparse_into(black_box(at), &mut smu);
-        score_all_fused_sparse(black_box(batch.row(0)), &smu)[0]
-    });
-    let mut soa = FusedSoaScratch::new();
-    let soa_ns = time_ns(effort, || {
-        knowledge.expected_sparse_into(black_box(at), &mut smu);
-        score_all_fused_sparse_soa(black_box(batch.row(0)), &smu, &mut soa)[0]
+        score_all_fused_sparse(black_box(batch.row(0)), smu.view())[0]
     });
     // The memoized hot path: after the first fill every iteration is a
     // cache hit — exactly what a serve shard pays on a repeated estimate.
     let mut cache = MuCache::new(64);
     let cached_ns = time_ns(effort, || {
         let cached = knowledge.expected_sparse_cached(black_box(at), &mut cache);
-        score_all_fused_sparse_soa(black_box(batch.row(0)), cached, &mut soa)[0]
+        score_all_fused_sparse(black_box(batch.row(0)), cached)[0]
     });
     KernelScale {
         groups: knowledge.group_count(),
         support,
         dense_ns_per_score: dense_ns,
         sparse_ns_per_score: sparse_ns,
-        soa_ns_per_score: soa_ns,
-        cached_soa_ns_per_score: cached_ns,
+        cached_ns_per_score: cached_ns,
         speedup: dense_ns / sparse_ns,
-        soa_vs_scalar: sparse_ns / soa_ns,
         cached_vs_scalar: sparse_ns / cached_ns,
     }
 }
@@ -486,6 +473,11 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
             false,
         ),
         Metric::new(
+            "kernel_paper_scale.cached_ns_per_score",
+            snap.kernel_paper_scale.cached_ns_per_score,
+            false,
+        ),
+        Metric::new(
             "kernel_4x_scale.dense_ns_per_score",
             snap.kernel_4x_scale.dense_ns_per_score,
             false,
@@ -605,7 +597,7 @@ fn compare_snapshots(old_path: &str, snap: &Snapshot) -> usize {
 }
 
 fn main() {
-    let mut out = String::from("BENCH_12.json");
+    let mut out = String::from("BENCH_13.json");
     let mut quick = false;
     let mut compare: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -698,7 +690,7 @@ fn main() {
             / overload_offered as f64,
     };
     let snapshot = Snapshot {
-        pr: 12,
+        pr: 13,
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())

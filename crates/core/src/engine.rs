@@ -49,13 +49,13 @@
 
 use crate::detector::{LadDetector, Verdict};
 use crate::expected::ExpectedObservation;
-use crate::metrics::{DetectionMetric, FusedSoaScratch, MetricKind};
+use crate::metrics::{DetectionMetric, MetricKind};
 use crate::threshold::TrainedThresholds;
 use crate::training::{Trainer, TrainingConfig};
-use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
+use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, MuView, SparseMu};
 use lad_geometry::Point2;
 pub use lad_localization::LocalizationScheme;
-use lad_net::{Network, NodeId, Observation, ObservationBatch};
+use lad_net::{Network, NodeId, ObsRow, Observation, ObservationBatch};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -323,17 +323,14 @@ impl LadEngineBuilder {
     }
 }
 
-/// Per-thread reusable scoring buffers: the sparse µ fill target, the dense
-/// expected-observation buffer backing the non-fused legacy path, and the
-/// SoA lanes of the fused kernels.
+/// Per-thread reusable scoring buffers: the sparse µ fill target and the
+/// dense expected-observation buffer backing the non-fused legacy path.
 #[derive(Default)]
 struct EngineScratch {
     /// Sparse µ fill target (every scoring path fills it per estimate).
     smu: SparseMu,
     /// Dense µ buffer; only backs the non-fused legacy path.
     dense: ExpectedObservation,
-    /// Structure-of-arrays lanes for the fused SoA kernels.
-    soa: FusedSoaScratch,
 }
 
 thread_local! {
@@ -501,8 +498,7 @@ impl LadEngine {
             // the observation's nonzeros (bit-identical to the dense pass).
             let smu = &mut scratch.smu;
             self.knowledge.expected_sparse_into(estimate, smu);
-            let scores =
-                crate::metrics::score_all_fused_sparse_obs_soa(observation, smu, &mut scratch.soa);
+            let scores = crate::metrics::score_all_fused_sparse_obs(observation, smu.view());
             for (i, (&score, &threshold)) in
                 scores.iter().zip(&self.artifact.thresholds).enumerate()
             {
@@ -552,8 +548,7 @@ impl LadEngine {
         if self.fused {
             let smu = &mut scratch.smu;
             self.knowledge.expected_sparse_into(estimate, smu);
-            let scores =
-                crate::metrics::score_all_fused_sparse_obs_soa(observation, smu, &mut scratch.soa);
+            let scores = crate::metrics::score_all_fused_sparse_obs(observation, smu.view());
             out.copy_from_slice(&scores);
         } else {
             let expected = &mut scratch.dense;
@@ -783,19 +778,10 @@ impl LadEngine {
             "output buffer must hold {width} scores per row"
         );
         MU_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let EngineScratch { smu, soa, .. } = scratch;
+            let smu = &mut cell.borrow_mut().smu;
             for (r, row_out) in range.zip(out.chunks_exact_mut(width)) {
                 self.knowledge.expected_sparse_into(batch.estimate(r), smu);
-                let row = batch.row(r);
-                if self.fused {
-                    let scores = crate::metrics::score_all_fused_sparse_soa(row, smu, soa);
-                    row_out.copy_from_slice(&scores);
-                } else {
-                    for (slot, scorer) in row_out.iter_mut().zip(&self.scorers) {
-                        *slot = scorer.score_sparse(row, smu);
-                    }
-                }
+                self.score_row_into(batch.row(r), smu.view(), row_out);
             }
         });
     }
@@ -808,9 +794,9 @@ impl LadEngine {
     /// score straight off the cached support.
     ///
     /// Scores are **bit-identical** to [`Self::score_rows_into`] — a cache
-    /// hit returns the `SparseMu` that `expected_sparse_into` produced for
-    /// the same exact estimate bits (see [`MuCache`]). The cache must be
-    /// dedicated to this engine's deployment.
+    /// hit is scored in place against the support `expected_sparse_into`
+    /// produced for the same exact estimate bits (see [`MuCache`]). The
+    /// cache must be dedicated to this engine's deployment.
     ///
     /// # Panics
     /// Panics when `out.len() != batch.len() * self.metrics().len()` or the
@@ -832,24 +818,26 @@ impl LadEngine {
             batch.len() * width,
             "output buffer must hold {width} scores per row"
         );
-        MU_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let soa = &mut scratch.soa;
-            for (r, row_out) in (0..batch.len()).zip(out.chunks_exact_mut(width)) {
-                let smu = self
-                    .knowledge
-                    .expected_sparse_cached(batch.estimate(r), cache);
-                let row = batch.row(r);
-                if self.fused {
-                    let scores = crate::metrics::score_all_fused_sparse_soa(row, smu, soa);
-                    row_out.copy_from_slice(&scores);
-                } else {
-                    for (slot, scorer) in row_out.iter_mut().zip(&self.scorers) {
-                        *slot = scorer.score_sparse(row, smu);
-                    }
-                }
+        for (r, row_out) in (0..batch.len()).zip(out.chunks_exact_mut(width)) {
+            let mu = self
+                .knowledge
+                .expected_sparse_cached(batch.estimate(r), cache);
+            self.score_row_into(batch.row(r), mu, row_out);
+        }
+    }
+
+    /// Scores one CSR row against a sparse µ with every configured metric
+    /// into `out` — the fused kernel when the metrics are exactly
+    /// [`MetricKind::ALL`], one sparse kernel per metric otherwise.
+    #[inline]
+    fn score_row_into(&self, row: ObsRow<'_>, mu: MuView<'_>, out: &mut [f64]) {
+        if self.fused {
+            out.copy_from_slice(&crate::metrics::score_all_fused_sparse(row, mu));
+        } else {
+            for (slot, scorer) in out.iter_mut().zip(&self.scorers) {
+                *slot = scorer.score_sparse(row, mu);
             }
-        });
+        }
     }
 
     /// Scores a CSR batch sequentially with **one** configured metric — one
@@ -893,7 +881,7 @@ impl LadEngine {
             let smu = &mut scratch.smu;
             for (r, slot) in out.iter_mut().enumerate() {
                 self.knowledge.expected_sparse_into(batch.estimate(r), smu);
-                *slot = scorer.score_sparse(batch.row(r), smu);
+                *slot = scorer.score_sparse(batch.row(r), smu.view());
             }
         });
     }
@@ -929,10 +917,10 @@ impl LadEngine {
         );
         let scorer = &self.scorers[idx];
         for (r, slot) in out.iter_mut().enumerate() {
-            let smu = self
+            let mu = self
                 .knowledge
                 .expected_sparse_cached(batch.estimate(r), cache);
-            *slot = scorer.score_sparse(batch.row(r), smu);
+            *slot = scorer.score_sparse(batch.row(r), mu);
         }
     }
 

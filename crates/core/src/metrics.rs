@@ -8,7 +8,7 @@
 //! per-group likelihood.
 
 use crate::expected::{l1_deviation, ExpectedObservation};
-use lad_deployment::{DeploymentKnowledge, SparseMu};
+use lad_deployment::{DeploymentKnowledge, MuView};
 use lad_geometry::Point2;
 use lad_net::{ObsRow, Observation};
 use lad_stats::Binomial;
@@ -80,7 +80,7 @@ pub trait DetectionMetric: Send + Sync {
     /// implementation does exactly that densification as a correctness
     /// fallback; the three built-in metrics override it with allocation-free
     /// sparse kernels.
-    fn score_sparse(&self, row: ObsRow<'_>, mu: &SparseMu) -> f64 {
+    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
         self.score(&row.to_observation(), &mu.to_dense(), mu.group_size())
     }
 
@@ -107,14 +107,14 @@ pub trait DetectionMetric: Send + Sync {
 /// identity), and a min over per-group likelihoods skips exactly the groups
 /// the dense kernel's `(o, µ) = (0, 0)` guard skips.
 #[inline]
-fn for_each_scored_group<F: FnMut(u32, f64)>(row: ObsRow<'_>, mu: &SparseMu, mut f: F) {
+fn for_each_scored_group<F: FnMut(u32, f64)>(row: ObsRow<'_>, mu: MuView<'_>, mut f: F) {
     debug_assert_eq!(
         row.group_count,
         mu.group_count(),
         "observation/expectation group-count mismatch"
     );
     let mut oi = 0usize;
-    for &(g, mui) in mu.entries() {
+    for (&g, &mui) in mu.groups().iter().zip(mu.values()) {
         while oi < row.groups.len() && row.groups[oi] < g {
             f(row.counts[oi], 0.0);
             oi += 1;
@@ -147,7 +147,7 @@ impl DetectionMetric for DiffMetric {
 
     /// O(k + nnz) sparse kernel: groups outside `support ∪ nonzero(o)`
     /// contribute exactly `|0 − 0.0| = 0.0` and are skipped.
-    fn score_sparse(&self, row: ObsRow<'_>, mu: &SparseMu) -> f64 {
+    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
         let mut dm = 0.0f64;
         for_each_scored_group(row, mu, |o, mui| dm += (o as f64 - mui).abs());
         dm
@@ -184,7 +184,7 @@ impl DetectionMetric for AddAllMetric {
 
     /// O(k + nnz) sparse kernel: groups outside `support ∪ nonzero(o)`
     /// contribute exactly `max(0, 0.0) = 0.0` and are skipped.
-    fn score_sparse(&self, row: ObsRow<'_>, mu: &SparseMu) -> f64 {
+    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
         let mut am = 0.0f64;
         for_each_scored_group(row, mu, |o, mui| am += (o as f64).max(mui));
         am
@@ -250,7 +250,7 @@ impl ProbabilityMetric {
     /// which the dense kernel's zero-p guard skips anyway (`Pr = 1` can
     /// never be the minimum), so the min ranges over the identical set of
     /// evaluations and the result is bit-identical.
-    pub fn min_ln_probability_sparse(row: ObsRow<'_>, mu: &SparseMu) -> f64 {
+    pub fn min_ln_probability_sparse(row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
         let pmf = TabledLnPmf::new(mu.group_size());
         let mut min_ln_p = 0.0f64;
         let mut zero_obs = ZeroObsMin::new();
@@ -278,7 +278,7 @@ impl DetectionMetric for ProbabilityMetric {
     }
 
     /// O(k + nnz) sparse kernel; see [`ProbabilityMetric::min_ln_probability_sparse`].
-    fn score_sparse(&self, row: ObsRow<'_>, mu: &SparseMu) -> f64 {
+    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
         (-Self::min_ln_probability_sparse(row, mu)).min(NEG_LN_FLOOR)
     }
 }
@@ -407,6 +407,15 @@ pub fn score_all_fused(obs: &Observation, mu: &[f64], group_size: usize) -> [f64
     acc.finish()
 }
 
+/// The support's parallel id/value slices, the value slice cut to the id
+/// slice's length so the merge walks index both without a second bounds
+/// check.
+#[inline(always)]
+fn support(mu: MuView<'_>) -> (&[u32], &[f64]) {
+    let groups = mu.groups();
+    (groups, &mu.values()[..groups.len()])
+}
+
 /// All three paper metrics in one **O(k + nnz)** pass over a sparse batch
 /// row and a sparse expected observation — the serving hot path's kernel.
 ///
@@ -418,14 +427,14 @@ pub fn score_all_fused(obs: &Observation, mu: &[f64], group_size: usize) -> [f64
 /// therefore **bit-identical** to [`score_all_fused`] over the densified
 /// inputs — asserted by proptest in `tests/sparse_exactness.rs` — while the
 /// work no longer scales with the group count `n`.
-pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: &SparseMu) -> [f64; 3] {
+pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: MuView<'_>) -> [f64; 3] {
     // Two specialised passes instead of one merged accumulator: the first
     // carries only cheap float ops (predictable, small loop body), the
     // second carries the expensive pmf evaluations over exactly the groups
     // that need one — `nnz(o)` full evaluations plus the single deferred
     // zero-observation one. Merging them into one loop triples the inlined
     // pmf call sites and measurably slows the merge.
-    let entries = mu.entries();
+    let (sg, sv) = support(mu);
     let (og, oc) = (row.groups, row.counts);
 
     // Pass 1 — Diff/Add-all over `support ∪ nonzero(o)` in ascending group
@@ -435,7 +444,7 @@ pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: &SparseMu) -> [f64; 3] {
     let mut am = 0.0f64;
     let mut zero_obs = ZeroObsMin::new();
     let mut oi = 0usize;
-    for &(g, mui) in entries {
+    for (&g, &mui) in sg.iter().zip(sv) {
         while oi < og.len() && og[oi] < g {
             let of = oc[oi] as f64;
             dm += of;
@@ -470,11 +479,11 @@ pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: &SparseMu) -> [f64; 3] {
     let mut min_ln_p = 0.0f64;
     let mut si = 0usize;
     for (&g, &o) in og.iter().zip(oc) {
-        while si < entries.len() && entries[si].0 < g {
+        while si < sg.len() && sg[si] < g {
             si += 1;
         }
-        let mui = if si < entries.len() && entries[si].0 == g {
-            entries[si].1
+        let mui = if si < sg.len() && sg[si] == g {
+            sv[si]
         } else {
             0.0
         };
@@ -494,9 +503,9 @@ pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: &SparseMu) -> [f64; 3] {
 /// This is what the engine's `DetectionRequest` entry points run; batch
 /// ingestion via [`lad_net::ObservationBatch`] uses
 /// [`score_all_fused_sparse`] and skips the scan too.
-pub fn score_all_fused_sparse_obs(obs: &Observation, mu: &SparseMu) -> [f64; 3] {
+pub fn score_all_fused_sparse_obs(obs: &Observation, mu: MuView<'_>) -> [f64; 3] {
     let counts = obs.counts();
-    let entries = mu.entries();
+    let (sg, sv) = support(mu);
 
     // Pass 1 — Diff/Add-all (cheap ops only), as in the CSR variant but
     // scanning the dense counts for nonzeros.
@@ -504,7 +513,7 @@ pub fn score_all_fused_sparse_obs(obs: &Observation, mu: &SparseMu) -> [f64; 3] 
     let mut am = 0.0f64;
     let mut zero_obs = ZeroObsMin::new();
     let mut i = 0usize;
-    for &(g, mui) in entries {
+    for (&g, &mui) in sg.iter().zip(sv) {
         let g = g as usize;
         while i < g {
             let o = counts[i];
@@ -543,11 +552,11 @@ pub fn score_all_fused_sparse_obs(obs: &Observation, mu: &SparseMu) -> [f64; 3] 
             continue;
         }
         let g = g as u32;
-        while si < entries.len() && entries[si].0 < g {
+        while si < sg.len() && sg[si] < g {
             si += 1;
         }
-        let mui = if si < entries.len() && entries[si].0 == g {
-            entries[si].1
+        let mui = if si < sg.len() && sg[si] == g {
+            sv[si]
         } else {
             0.0
         };
@@ -557,211 +566,6 @@ pub fn score_all_fused_sparse_obs(obs: &Observation, mu: &SparseMu) -> [f64; 3] 
         }
     }
     let min_ln_p = zero_obs.fold_into(&pmf, min_ln_p);
-    [dm, am, (-min_ln_p).min(NEG_LN_FLOOR)]
-}
-
-/// Reusable structure-of-arrays buffers for the SoA fused kernels.
-///
-/// One merge walk fills four flat lanes — `(of, mu)` per merged group for
-/// the Diff/Add-all pass and `(po, pmu)` per probability evaluation — after
-/// which both reductions run over branch-free contiguous arrays and the
-/// expensive pmf evaluations unroll into independent 4-wide blocks whose
-/// `ln`/division chains pipeline instead of serialising behind merge
-/// branches. Buffers grow to the high-water support size and are reused
-/// across calls; owners (engine scratch, serve shards) hold one per thread.
-#[derive(Debug, Default, Clone)]
-pub struct FusedSoaScratch {
-    /// Pass-1 lane: observation count as f64, one per merged group.
-    of: Vec<f64>,
-    /// Pass-1 lane: µ (0.0 outside the support), parallel to `of`.
-    mu: Vec<f64>,
-    /// Pass-2 lane: observation counts needing a pmf evaluation.
-    po: Vec<u32>,
-    /// Pass-2 lane: µ for each `po` entry (0.0 outside the support).
-    pmu: Vec<f64>,
-    /// Pass-2 output lane: `ln Pr` per evaluation, reduced sequentially.
-    lnp: Vec<f64>,
-}
-
-impl FusedSoaScratch {
-    /// Fresh, empty scratch. Buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn clear(&mut self) {
-        self.of.clear();
-        self.mu.clear();
-        self.po.clear();
-        self.pmu.clear();
-    }
-}
-
-/// Evaluates the gathered pmf lane 4-wide and reduces the minimum in lane
-/// order. Each `TabledLnPmf::eval` is element-wise identical to the scalar
-/// kernel's call for the same `(o, µ)`; unrolling only overlaps the
-/// independent evaluations (ILP), it never reassociates them. The min scan
-/// then replays the scalar comparison sequence (`<` strict, lane order ==
-/// merge order), so the reduced value is bit-identical.
-#[inline]
-fn soa_min_ln_p(scratch: &mut FusedSoaScratch, pmf: &TabledLnPmf) -> f64 {
-    let n = scratch.po.len();
-    scratch.lnp.clear();
-    scratch.lnp.resize(n, 0.0);
-    let (po, pmu, lnp) = (&scratch.po[..n], &scratch.pmu[..n], &mut scratch.lnp[..n]);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let a = pmf.eval(po[i], pmu[i]);
-        let b = pmf.eval(po[i + 1], pmu[i + 1]);
-        let c = pmf.eval(po[i + 2], pmu[i + 2]);
-        let d = pmf.eval(po[i + 3], pmu[i + 3]);
-        lnp[i] = a;
-        lnp[i + 1] = b;
-        lnp[i + 2] = c;
-        lnp[i + 3] = d;
-        i += 4;
-    }
-    while i < n {
-        lnp[i] = pmf.eval(po[i], pmu[i]);
-        i += 1;
-    }
-    let mut min_ln_p = 0.0f64;
-    for &lp in lnp.iter() {
-        if lp < min_ln_p {
-            min_ln_p = lp;
-        }
-    }
-    min_ln_p
-}
-
-/// Reduces the pass-1 lanes in lane order. For obs-only entries the lanes
-/// hold `µ = 0.0`, and `(of − 0.0).abs()` / `of.max(0.0)` are bit-equal to
-/// the scalar kernel's bare `of` terms (`of ≥ +0.0` always, being a `u32`
-/// cast), so the sums accumulate the identical term sequence.
-#[inline]
-fn soa_dm_am(scratch: &FusedSoaScratch) -> (f64, f64) {
-    let mut dm = 0.0f64;
-    let mut am = 0.0f64;
-    for (&of, &mui) in scratch.of.iter().zip(&scratch.mu) {
-        dm += (of - mui).abs();
-        am += of.max(mui);
-    }
-    (dm, am)
-}
-
-/// Structure-of-arrays variant of [`score_all_fused_sparse`]:
-/// **bit-identical** by construction (proptested in
-/// `tests/sparse_exactness.rs`), faster because the support ∪ nonzero(o)
-/// merge runs **once** (the scalar kernel walks it in both passes) and the
-/// pmf evaluations overlap 4-wide over the gathered lanes.
-pub fn score_all_fused_sparse_soa(
-    row: ObsRow<'_>,
-    mu: &SparseMu,
-    scratch: &mut FusedSoaScratch,
-) -> [f64; 3] {
-    let entries = mu.entries();
-    let (og, oc) = (row.groups, row.counts);
-    scratch.clear();
-
-    // Gather — single merge over support ∪ obs entries in ascending group
-    // order. Pass-1 lanes take every merged group; pass-2 lanes take every
-    // observation entry in row order (the scalar pass 2 evaluates all of
-    // them, explicit zero counts included), with µ = 0.0 outside the
-    // support; zero-observation support groups feed the deferred min.
-    let mut zero_obs = ZeroObsMin::new();
-    let mut oi = 0usize;
-    for &(g, mui) in entries {
-        while oi < og.len() && og[oi] < g {
-            let o = oc[oi];
-            scratch.of.push(o as f64);
-            scratch.mu.push(0.0);
-            scratch.po.push(o);
-            scratch.pmu.push(0.0);
-            oi += 1;
-        }
-        let o = if oi < og.len() && og[oi] == g {
-            let c = oc[oi];
-            scratch.po.push(c);
-            scratch.pmu.push(mui);
-            oi += 1;
-            c
-        } else {
-            0
-        };
-        scratch.of.push(o as f64);
-        scratch.mu.push(mui);
-        if o == 0 {
-            zero_obs.see(mui);
-        }
-    }
-    while oi < og.len() {
-        let o = oc[oi];
-        scratch.of.push(o as f64);
-        scratch.mu.push(0.0);
-        scratch.po.push(o);
-        scratch.pmu.push(0.0);
-        oi += 1;
-    }
-
-    let (dm, am) = soa_dm_am(scratch);
-    let pmf = TabledLnPmf::new(mu.group_size());
-    let min_ln_p = zero_obs.fold_into(&pmf, soa_min_ln_p(scratch, &pmf));
-    [dm, am, (-min_ln_p).min(NEG_LN_FLOOR)]
-}
-
-/// Structure-of-arrays variant of [`score_all_fused_sparse_obs`] (dense
-/// observation): same gather as [`score_all_fused_sparse_soa`] but scanning
-/// the dense counts, and — matching its scalar twin — obs-only zeros are
-/// skipped entirely and zero counts get no pmf evaluation.
-pub fn score_all_fused_sparse_obs_soa(
-    obs: &Observation,
-    mu: &SparseMu,
-    scratch: &mut FusedSoaScratch,
-) -> [f64; 3] {
-    let counts = obs.counts();
-    let entries = mu.entries();
-    scratch.clear();
-
-    let mut zero_obs = ZeroObsMin::new();
-    let mut i = 0usize;
-    for &(g, mui) in entries {
-        let g = g as usize;
-        while i < g {
-            let o = counts[i];
-            if o != 0 {
-                scratch.of.push(o as f64);
-                scratch.mu.push(0.0);
-                scratch.po.push(o);
-                scratch.pmu.push(0.0);
-            }
-            i += 1;
-        }
-        let o = counts[g];
-        scratch.of.push(o as f64);
-        scratch.mu.push(mui);
-        if o == 0 {
-            zero_obs.see(mui);
-        } else {
-            scratch.po.push(o);
-            scratch.pmu.push(mui);
-        }
-        i = g + 1;
-    }
-    while i < counts.len() {
-        let o = counts[i];
-        if o != 0 {
-            scratch.of.push(o as f64);
-            scratch.mu.push(0.0);
-            scratch.po.push(o);
-            scratch.pmu.push(0.0);
-        }
-        i += 1;
-    }
-
-    let (dm, am) = soa_dm_am(scratch);
-    let pmf = TabledLnPmf::new(mu.group_size());
-    let min_ln_p = zero_obs.fold_into(&pmf, soa_min_ln_p(scratch, &pmf));
     [dm, am, (-min_ln_p).min(NEG_LN_FLOOR)]
 }
 

@@ -12,7 +12,7 @@ use crate::gz::GzTable;
 use crate::layout::DeploymentLayout;
 use crate::mu_cache::MuCache;
 use crate::placement::PlacementModel;
-use crate::sparse::{SparseMu, SupportIndex};
+use crate::sparse::{MuView, SparseMu, SupportIndex};
 use lad_geometry::Point2;
 use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::Arc;
@@ -178,8 +178,8 @@ impl DeploymentKnowledge {
     }
 
     /// Fills `out` with the **sparse** expected observation at `θ`: the
-    /// `(group, µ_i)` pairs of the g(z) support (groups within `z_max` of
-    /// `θ`), sorted by group index, reusing `out`'s allocation.
+    /// group ids and µ values of the g(z) support (groups within `z_max` of
+    /// `θ`), sorted by group index, reusing `out`'s allocations.
     ///
     /// This is the O(k) sibling of [`Self::expected_observation_into`]
     /// (k = support size, not the group count n): the precomputed spatial
@@ -190,45 +190,51 @@ impl DeploymentKnowledge {
     /// float program as [`Self::expected_iter`]), which is what lets the
     /// sparse scoring kernels reproduce the dense scores bit for bit.
     pub fn expected_sparse_into(&self, theta: Point2, out: &mut SparseMu) {
+        self.gather_support(theta, out);
+        let mu_of = self.mu_of_distance_sq();
+        for v in out.values_mut() {
+            *v = mu_of(*v);
+        }
+    }
+
+    /// Phase 1 of the sparse fill — gather: the support's group ids, each
+    /// with its squared distance to `θ` parked in the µ slot. Both paths
+    /// apply the exact early-out predicate of `expected_iter`
+    /// (`d² < z_max²`) and visit candidates in ascending group order, so
+    /// the entries come out sorted with no per-query sort (the indexed
+    /// candidate lists are pre-sorted, the fallback scans in index order).
+    fn gather_support(&self, theta: Point2, out: &mut SparseMu) {
         out.reset(self.group_count(), self.group_size());
-        let m = self.group_size() as f64;
         let z_max = self.gz.z_max();
         let z_max_sq = z_max * z_max;
         let points = self.layout.deployment_points();
-        // Phase 1 — gather: both paths apply the exact early-out predicate
-        // of `expected_iter` (`d² < z_max²`) and visit candidates in
-        // ascending group order, so the entries come out sorted with no
-        // per-query sort (the indexed candidate lists are pre-sorted, the
-        // fallback scans in index order). The squared distance is parked in
-        // the µ slot.
         match self.support.candidates(theta) {
-            Some(candidates) => {
-                for &g in candidates {
-                    let d_sq = points[g as usize].distance_squared(theta);
-                    if d_sq < z_max_sq {
-                        out.push(g, d_sq);
-                    }
-                }
-            }
+            Some(candidates) => out.gather(
+                candidates
+                    .iter()
+                    .map(|&g| (g, points[g as usize].distance_squared(theta))),
+                z_max_sq,
+            ),
             // θ beyond the padded index bounds (degenerate estimates far
             // off the area): exact O(n) scan, same filter, same order.
-            None => {
-                for (g, dp) in points.iter().enumerate() {
-                    let d_sq = dp.distance_squared(theta);
-                    if d_sq < z_max_sq {
-                        out.push(g as u32, d_sq);
-                    }
-                }
-            }
+            None => out.gather(
+                points
+                    .iter()
+                    .enumerate()
+                    .map(|(g, dp)| (g as u32, dp.distance_squared(theta))),
+                z_max_sq,
+            ),
         }
-        // Phase 2 — map distances to µ in one tight branch-free loop: the
-        // divisions inside the table interpolation pipeline across
-        // iterations instead of serialising behind the gather branches.
-        // Same float program as `expected_iter`: µ = m · g(√d²).
+    }
+
+    /// Phase 2 of the sparse fill — the map from a gathered squared
+    /// distance to µ, applied in one tight branch-free loop so the
+    /// divisions inside the table interpolation pipeline across entries.
+    /// Same float program as `expected_iter`: µ = m · g(√d²).
+    fn mu_of_distance_sq(&self) -> impl Fn(f64) -> f64 + '_ {
+        let m = self.group_size() as f64;
         let gz = self.gz.prepared();
-        for entry in out.entries_mut() {
-            entry.1 = m * gz.eval(entry.1.sqrt());
-        }
+        move |d_sq| m * gz.eval(d_sq.sqrt())
     }
 
     /// The sparse expected observation at `θ` as a fresh buffer. Thin
@@ -241,18 +247,20 @@ impl DeploymentKnowledge {
 
     /// The sparse expected observation at `θ`, memoized through `cache`.
     ///
-    /// A miss runs [`Self::expected_sparse_into`] into the cache slot; a
-    /// hit returns the `SparseMu` that fill produced for the **same
-    /// estimate bits** — bit-identical to the uncached call by
-    /// construction (see [`MuCache`]). The cache must be used with a
-    /// single `DeploymentKnowledge`; pairing it with another deployment
-    /// returns that deployment's stale µ values.
-    pub fn expected_sparse_cached<'c>(
-        &self,
-        theta: Point2,
-        cache: &'c mut MuCache,
-    ) -> &'c SparseMu {
-        cache.get_or_fill(theta, |out| self.expected_sparse_into(theta, out))
+    /// A miss runs the two phases of [`Self::expected_sparse_into`] — the
+    /// gather into the cache's scratch, the µ map straight into the slot's
+    /// exact-size arrays; a hit returns a view of what that fill produced
+    /// for the **same estimate bits**, read in place from the slot —
+    /// bit-identical to the uncached call by construction (see
+    /// [`MuCache`]). The cache must be used with a single
+    /// `DeploymentKnowledge`; pairing it with another deployment returns
+    /// that deployment's stale µ values.
+    pub fn expected_sparse_cached<'c>(&self, theta: Point2, cache: &'c mut MuCache) -> MuView<'c> {
+        cache.get_or_fill(
+            theta,
+            |out| self.gather_support(theta, out),
+            self.mu_of_distance_sq(),
+        )
     }
 
     /// Upper end of the tabulated g(z) domain — the radius of the support
@@ -386,7 +394,7 @@ mod tests {
             // Every dense nonzero appears sparsely with the identical bits…
             assert_eq!(smu.to_dense(), dense, "dense mismatch at {theta:?}");
             // …and the entries are sorted and unique.
-            assert!(smu.entries().windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(smu.view().groups().windows(2).all(|w| w[0] < w[1]));
         }
         k.expected_sparse_into(Point2::new(5000.0, 5000.0), &mut smu);
         assert!(smu.is_empty());
@@ -412,7 +420,7 @@ mod tests {
         .enumerate()
         {
             k.expected_sparse_into(theta, &mut smu);
-            let got: Vec<u32> = smu.entries().iter().map(|&(g, _)| g).collect();
+            let got = smu.view().groups().to_vec();
             let brute: Vec<u32> = (0..k.group_count())
                 .filter(|&g| k.layout().deployment_point(g).distance_squared(theta) < z_max * z_max)
                 .map(|g| g as u32)
@@ -433,10 +441,7 @@ mod tests {
             back.expected_observation(theta),
             k.expected_observation(theta)
         );
-        assert_eq!(
-            back.expected_sparse(theta).entries(),
-            k.expected_sparse(theta).entries()
-        );
+        assert_eq!(back.expected_sparse(theta), k.expected_sparse(theta));
     }
 
     #[test]

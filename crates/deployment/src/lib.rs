@@ -38,4 +38,4 @@ pub use knowledge::DeploymentKnowledge;
 pub use layout::{DeploymentLayout, LayoutKind};
 pub use mu_cache::MuCache;
 pub use placement::PlacementModel;
-pub use sparse::SparseMu;
+pub use sparse::{MuView, SparseMu};

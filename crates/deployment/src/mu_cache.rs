@@ -8,8 +8,8 @@
 //!
 //! [`MuCache`] removes that floor for repeated estimates. It is a bounded
 //! set-associative cache keyed on the **exact IEEE-754 bits** of the
-//! estimate (`x.to_bits(), y.to_bits()`), so a hit returns a `SparseMu`
-//! that was produced by the very same
+//! estimate (`x.to_bits(), y.to_bits()`), so a hit returns a µ that was
+//! produced by the very same
 //! [`expected_sparse_into`](crate::DeploymentKnowledge::expected_sparse_into)
 //! float program for the very same input — **bit-exactness by
 //! construction**, with nothing to prove about quantization. (Keying on the
@@ -22,29 +22,53 @@
 //! per-hit bookkeeping beyond one bit. The cache is **derived state**: it
 //! is never serialized, never snapshotted, and owning layers (a `lad_serve`
 //! shard, an eval thread) drop and rebuild it freely.
+//!
+//! # Footprint
+//!
+//! Each slot holds its support in µ's one storage format (see
+//! [`crate::sparse`]) at **exact size**: a boxed `u32` id slice and a boxed
+//! `f64` value slice, 12 B per support entry. A set's four keys share one
+//! 64-byte cache line; with the two slice headers and a byte of CLOCK state
+//! per way, the fixed cost is ~49 B per slot. On a churning paper-scale
+//! stream (22 support entries on average) a memoized estimate costs ~320 B
+//! of heap; `tests/mu_cache_footprint.rs` asserts `64 B × capacity + 14 B ×
+//! held entries` with a counting allocator.
+//!
+//! A hit is scored in place: [`MuCache::get_or_fill`] returns a [`MuView`]
+//! borrowing the slot's arrays, with no decode and no copy. A miss writes µ
+//! into the slot as it computes it; when the victim's support length
+//! differs, it takes an evicted pair of the new length (a bounded few are
+//! kept per length) before it asks the allocator.
 
-use crate::sparse::SparseMu;
+use crate::sparse::{MuView, SparseMu};
 use lad_geometry::Point2;
 use lad_stats::seeds::splitmix64;
 
-/// One cache slot: the exact estimate-bit key plus the memoized support.
+/// The exact estimate-bit keys `(θ.x.to_bits(), θ.y.to_bits())` of one
+/// set's ways, packed into one cache line so a lookup touches one line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+struct SetKeys([[u64; 2]; MuCache::WAYS]);
+
+/// Per-set bookkeeping: one bit per way for "holds an entry" and for the
+/// CLOCK referenced bit, plus the set's hand.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetState {
+    valid: u8,
+    referenced: u8,
+    hand: u8,
+}
+
+/// One slot's memoized support, exact-size parallel arrays.
 #[derive(Debug, Clone, Default)]
-struct Slot {
-    /// `θ.x.to_bits()` of the memoized estimate.
-    key_x: u64,
-    /// `θ.y.to_bits()` of the memoized estimate.
-    key_y: u64,
-    /// Whether the slot holds a memoized entry at all.
-    valid: bool,
-    /// CLOCK referenced bit: set on hit, cleared as the hand sweeps by.
-    referenced: bool,
-    /// The memoized sparse expected observation.
-    mu: SparseMu,
+struct Held {
+    groups: Box<[u32]>,
+    values: Box<[f64]>,
 }
 
 /// A bounded, set-associative, exact-key cache of sparse expected
-/// observations. See the [module docs](self) for the design and the
-/// bit-exactness argument.
+/// observations. See the [module docs](self) for the design, the footprint
+/// and the bit-exactness argument.
 ///
 /// One cache belongs to **one** [`DeploymentKnowledge`] object (entries are
 /// meaningless under any other deployment); the owning layer enforces that
@@ -56,12 +80,23 @@ struct Slot {
 /// [`DeploymentKnowledge::expected_sparse_cached`]: crate::DeploymentKnowledge::expected_sparse_cached
 #[derive(Debug, Clone)]
 pub struct MuCache {
-    /// All slots, `sets × WAYS`, set-major.
-    slots: Vec<Slot>,
-    /// Number of sets (a power of two).
+    /// Keys per set.
+    keys: Vec<SetKeys>,
+    /// Valid/referenced bits and CLOCK hand per set.
+    state: Vec<SetState>,
+    /// Memoized supports, `sets × WAYS`, set-major.
+    held: Vec<Held>,
+    /// The gather target of a miss. Its group count/size tags every view
+    /// (one deployment per cache).
+    scratch: SparseMu,
+    /// Evicted supports' exact-size arrays kept for reuse, indexed by
+    /// length: steady-state churn (where a victim's support length rarely
+    /// equals the new one's) swaps arrays instead of paying the allocator
+    /// twice per miss. Holds at most [`Self::SPARE_DEPTH`] pairs for each
+    /// length below [`Self::SPARE_LENS`].
+    spare: Vec<Vec<Held>>,
+    /// Number of sets minus one (sets are a power of two).
     set_mask: u64,
-    /// Per-set CLOCK hand (index into the set's ways).
-    hands: Vec<u8>,
     hits: u64,
     misses: u64,
 }
@@ -70,6 +105,16 @@ impl MuCache {
     /// Associativity: slots per set. 4 ways keeps conflict misses rare at
     /// the cost of a 4-probe lookup, and bounds the CLOCK sweep.
     pub const WAYS: usize = 4;
+
+    /// Support lengths whose evicted arrays are kept for reuse — above the
+    /// ≤ 40-entry supports of paper-density deployments.
+    const SPARE_LENS: usize = 64;
+
+    /// Spare array pairs kept per length. With [`Self::SPARE_LENS`] this
+    /// bounds the spares at `8 × 12 B × (1 + … + 63)` ≈ 190 KiB; on a
+    /// churning paper-scale stream it turns ~90% of the allocations a miss
+    /// would make into reuse.
+    const SPARE_DEPTH: usize = 8;
 
     /// Builds a cache with room for at least `capacity` memoized estimates
     /// (rounded up to a power-of-two number of [`Self::WAYS`]-slot sets).
@@ -81,9 +126,12 @@ impl MuCache {
         assert!(capacity > 0, "MuCache capacity must be ≥ 1");
         let sets = capacity.div_ceil(Self::WAYS).next_power_of_two();
         Self {
-            slots: vec![Slot::default(); sets * Self::WAYS],
+            keys: vec![SetKeys::default(); sets],
+            state: vec![SetState::default(); sets],
+            held: vec![Held::default(); sets * Self::WAYS],
+            scratch: SparseMu::new(),
+            spare: vec![Vec::new(); Self::SPARE_LENS],
             set_mask: sets as u64 - 1,
-            hands: vec![0; sets],
             hits: 0,
             misses: 0,
         }
@@ -91,17 +139,26 @@ impl MuCache {
 
     /// Total slot capacity (sets × ways).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.held.len()
     }
 
     /// Number of memoized estimates currently held.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.valid).count()
+        self.state
+            .iter()
+            .map(|s| s.valid.count_ones() as usize)
+            .sum()
     }
 
     /// Whether the cache holds no entries yet.
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| !s.valid)
+        self.state.iter().all(|s| s.valid == 0)
+    }
+
+    /// Support entries held across all slots — the variable part of the
+    /// footprint, 12 B each.
+    pub fn held_entries(&self) -> usize {
+        self.held.iter().map(|h| h.groups.len()).sum()
     }
 
     /// Hits since construction (or the last [`Self::take_stats`]).
@@ -124,81 +181,112 @@ impl MuCache {
         out
     }
 
-    /// Drops every memoized entry (allocations kept; counters untouched).
+    /// Drops every memoized entry and frees its support storage (counters
+    /// untouched).
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.valid = false;
-            slot.referenced = false;
-        }
+        self.state.fill(SetState::default());
+        self.held.fill(Held::default());
+        self.spare.fill(Vec::new());
     }
 
     /// The set index for an estimate key: both coordinate bit patterns run
     /// through SplitMix64 so nearby floats (which share high bits) spread
     /// over the sets.
     #[inline]
-    fn set_of(&self, key_x: u64, key_y: u64) -> usize {
-        (splitmix64(key_x ^ splitmix64(key_y)) & self.set_mask) as usize
+    fn set_of(&self, key: [u64; 2]) -> usize {
+        (splitmix64(key[0] ^ splitmix64(key[1])) & self.set_mask) as usize
     }
 
-    /// Returns the memoized `µ(θ)`, calling `fill` to produce it on a miss.
+    /// Returns the memoized `µ(θ)`, producing it on a miss in two phases:
+    /// `gather` fills the cache's scratch with the support's group ids and
+    /// one intermediate value per entry, then `map` turns each intermediate
+    /// value into µ as it is written into the victim slot's exact-size
+    /// arrays (the slot's possibly cold memory is written inside the
+    /// compute loop, not by a separate copy).
     ///
-    /// The hit path compares the exact estimate bits, so whatever `fill`
-    /// wrote for those bits is returned unchanged — the caller's fill
-    /// function *is* the float program, the cache only replays its output.
-    pub fn get_or_fill<F>(&mut self, theta: Point2, fill: F) -> &SparseMu
+    /// The hit path compares the exact estimate bits, so whatever `gather`
+    /// and `map` produced for those bits is returned unchanged — the
+    /// caller's closures *are* the float program, the cache only replays
+    /// their output.
+    pub fn get_or_fill<G, M>(&mut self, theta: Point2, gather: G, map: M) -> MuView<'_>
     where
-        F: FnOnce(&mut SparseMu),
+        G: FnOnce(&mut SparseMu),
+        M: Fn(f64) -> f64,
     {
-        let (key_x, key_y) = (theta.x.to_bits(), theta.y.to_bits());
-        let base = self.set_of(key_x, key_y) * Self::WAYS;
-        let mut found = None;
-        for way in 0..Self::WAYS {
-            let slot = &self.slots[base + way];
-            if slot.valid && slot.key_x == key_x && slot.key_y == key_y {
-                found = Some(base + way);
-                break;
-            }
-        }
-        let idx = match found {
-            Some(idx) => {
+        let key = [theta.x.to_bits(), theta.y.to_bits()];
+        let set = self.set_of(key);
+        let (keys, state) = (&self.keys[set].0, &mut self.state[set]);
+        let way = match (0..Self::WAYS).find(|&w| state.valid & (1 << w) != 0 && keys[w] == key) {
+            Some(way) => {
                 self.hits += 1;
-                self.slots[idx].referenced = true;
-                idx
+                state.referenced |= 1 << way;
+                way
             }
             None => {
                 self.misses += 1;
-                let idx = self.victim(base);
-                let slot = &mut self.slots[idx];
-                slot.key_x = key_x;
-                slot.key_y = key_y;
-                slot.valid = true;
-                slot.referenced = true;
-                fill(&mut slot.mu);
-                idx
+                let way = Self::victim(state);
+                state.valid |= 1 << way;
+                state.referenced |= 1 << way;
+                self.keys[set].0[way] = key;
+                gather(&mut self.scratch);
+                let src = self.scratch.view();
+                let held = &mut self.held[set * Self::WAYS + way];
+                Self::resize_exact(held, src.len(), &mut self.spare);
+                held.groups.copy_from_slice(src.groups());
+                for (mu, &v) in held.values.iter_mut().zip(src.values()) {
+                    *mu = map(v);
+                }
+                way
             }
         };
-        &self.slots[idx].mu
+        let held = &self.held[set * Self::WAYS + way];
+        MuView::new(
+            &held.groups,
+            &held.values,
+            self.scratch.group_count(),
+            self.scratch.group_size(),
+        )
     }
 
-    /// CLOCK victim selection within the set starting at `base`: prefer an
-    /// invalid slot, otherwise sweep the hand past referenced slots
-    /// (clearing their bits) and take the first unreferenced one. Bounded:
-    /// after one full sweep every bit is clear, so the second probe wins.
-    fn victim(&mut self, base: usize) -> usize {
-        for way in 0..Self::WAYS {
-            if !self.slots[base + way].valid {
-                return base + way;
+    /// Gives `held` arrays of exactly `len` entries: its own when the
+    /// length matches, else a spare pair of that length or a fresh
+    /// allocation, parking the old pair among the spares of its length.
+    fn resize_exact(held: &mut Held, len: usize, spare: &mut [Vec<Held>]) {
+        if held.groups.len() == len {
+            return;
+        }
+        let old = std::mem::replace(
+            held,
+            spare
+                .get_mut(len)
+                .and_then(Vec::pop)
+                .unwrap_or_else(|| Held {
+                    groups: vec![0; len].into(),
+                    values: vec![0.0; len].into(),
+                }),
+        );
+        if let Some(pairs) = spare.get_mut(old.groups.len()) {
+            if pairs.len() < Self::SPARE_DEPTH {
+                pairs.push(old);
             }
         }
-        let set = base / Self::WAYS;
+    }
+
+    /// CLOCK victim selection within one set: prefer an invalid way,
+    /// otherwise sweep the hand past referenced ways (clearing their bits)
+    /// and take the first unreferenced one. Bounded: after one full sweep
+    /// every bit is clear, so the second probe wins.
+    fn victim(state: &mut SetState) -> usize {
+        if let Some(way) = (0..Self::WAYS).find(|&w| state.valid & (1 << w) == 0) {
+            return way;
+        }
         loop {
-            let hand = self.hands[set] as usize;
-            self.hands[set] = ((hand + 1) % Self::WAYS) as u8;
-            let slot = &mut self.slots[base + hand];
-            if slot.referenced {
-                slot.referenced = false;
+            let hand = state.hand as usize;
+            state.hand = ((hand + 1) % Self::WAYS) as u8;
+            if state.referenced & (1 << hand) != 0 {
+                state.referenced &= !(1 << hand);
             } else {
-                return base + hand;
+                return hand;
             }
         }
     }
@@ -218,11 +306,17 @@ mod tests {
     fn hit_returns_the_first_fill_without_refilling() {
         let mut cache = MuCache::new(8);
         let theta = Point2::new(12.5, -3.25);
-        let first = cache.get_or_fill(theta, fill_tagged(1)).clone();
+        let first: Vec<_> = cache
+            .get_or_fill(theta, fill_tagged(1), |v| v)
+            .iter()
+            .collect();
         // A second lookup must not call fill again (fill_tagged(2) would
         // overwrite the entry if it ran).
-        let second = cache.get_or_fill(theta, fill_tagged(2)).clone();
-        assert_eq!(first.entries(), second.entries());
+        let second: Vec<_> = cache
+            .get_or_fill(theta, fill_tagged(2), |v| v)
+            .iter()
+            .collect();
+        assert_eq!(first, second);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
@@ -231,9 +325,9 @@ mod tests {
         let mut cache = MuCache::new(8);
         let a = Point2::new(1.0, 2.0);
         let b = Point2::new(1.0, 2.0f64.next_up());
-        cache.get_or_fill(a, fill_tagged(1));
-        let at_b = cache.get_or_fill(b, fill_tagged(2)).clone();
-        assert_eq!(at_b.entries(), &[(2, 2.0)]);
+        cache.get_or_fill(a, fill_tagged(1), |v| v);
+        let at_b: Vec<_> = cache.get_or_fill(b, fill_tagged(2), |v| v).iter().collect();
+        assert_eq!(at_b, [(2, 2.0)]);
         assert_eq!(cache.misses(), 2);
     }
 
@@ -246,8 +340,10 @@ mod tests {
         for round in 0..3u32 {
             for i in 0..6u32 {
                 let theta = Point2::new(i as f64, 0.0);
-                let got = cache.get_or_fill(theta, fill_tagged(i)).clone();
-                assert_eq!(got.entries(), &[(i, i as f64)], "round {round} key {i}");
+                let got = cache.get_or_fill(theta, fill_tagged(i), |v| v);
+                assert_eq!(got.groups(), &[i], "round {round} key {i}");
+                assert_eq!(got.values(), &[i as f64], "round {round} key {i}");
+                assert_eq!((got.group_count(), got.group_size()), (100, 10));
             }
         }
         assert_eq!(cache.hits() + cache.misses(), 18);
@@ -259,16 +355,39 @@ mod tests {
     fn take_stats_drains_and_resets() {
         let mut cache = MuCache::new(4);
         let theta = Point2::new(5.0, 5.0);
-        cache.get_or_fill(theta, fill_tagged(1));
-        cache.get_or_fill(theta, fill_tagged(1));
+        cache.get_or_fill(theta, fill_tagged(1), |v| v);
+        cache.get_or_fill(theta, fill_tagged(1), |v| v);
         assert_eq!(cache.take_stats(), (1, 1));
         assert_eq!(cache.take_stats(), (0, 0));
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
         // Cleared entries miss again.
-        cache.get_or_fill(theta, fill_tagged(1));
+        cache.get_or_fill(theta, fill_tagged(1), |v| v);
         assert_eq!(cache.take_stats(), (0, 1));
+    }
+
+    #[test]
+    fn slots_hold_exact_size_supports_and_clear_frees_them() {
+        let mut cache = MuCache::new(4);
+        let fill_k = |k: u32| {
+            move |out: &mut SparseMu| {
+                *out = SparseMu::from_entries((0..k).map(|g| (g, 1.0)).collect(), 100, 10)
+            }
+        };
+        cache.get_or_fill(Point2::new(1.0, 0.0), fill_k(3), |v| v);
+        cache.get_or_fill(Point2::new(2.0, 0.0), fill_k(5), |v| v);
+        cache.get_or_fill(Point2::new(3.0, 0.0), fill_k(0), |v| v);
+        assert_eq!(cache.held_entries(), 8);
+        assert_eq!(cache.len(), 3);
+        cache.clear();
+        assert_eq!(cache.held_entries(), 0);
+        assert_eq!(
+            cache
+                .get_or_fill(Point2::new(2.0, 0.0), fill_k(2), |v| v)
+                .len(),
+            2
+        );
     }
 
     #[test]

@@ -8,18 +8,21 @@
 //! size is governed by the g(z) tail and the deployment-point density, not
 //! by `n`.
 //!
-//! [`SparseMu`] is the reusable scratch the sparse hot path fills via
-//! [`DeploymentKnowledge::expected_sparse_into`](crate::DeploymentKnowledge::expected_sparse_into):
-//! the `(group, µ_i)` pairs of the support, sorted by group index, plus the
-//! group count/size needed to score against it. Filling is **O(k)** in the
-//! support size `k` (a spatial-grid query), not O(n), and reuses the
-//! buffer's allocation across calls.
+//! µ has **one storage format**: the support's group ids (`u32`) and µ
+//! values (`f64`) as two parallel arrays, sorted by group index. [`SparseMu`]
+//! is the reusable scratch the sparse hot path fills via
+//! [`DeploymentKnowledge::expected_sparse_into`](crate::DeploymentKnowledge::expected_sparse_into)
+//! — filling is **O(k)** in the support size `k` (a spatial-grid query), not
+//! O(n), and reuses the buffers' allocations across calls — and
+//! [`MuCache`](crate::MuCache) holds the same two arrays at exact size per
+//! memoized estimate. Every sparse scoring kernel reads either owner
+//! through the borrowed [`MuView`], so a cache hit is scored in place.
 
 use lad_geometry::{GridIndex, Point2, Rect};
-use serde::{Deserialize, Serialize};
 
-/// A sparse expected observation: the `(group, µ_i)` pairs of the g(z)
-/// support at one estimate, sorted by group index.
+/// A borrowed sparse expected observation: the g(z) support's group ids and
+/// µ values as parallel slices, sorted by group index, plus the group
+/// count/size needed to score against them.
 ///
 /// The entries are **exact**: every group whose dense
 /// [`expected_observation`](crate::DeploymentKnowledge::expected_observation)
@@ -27,11 +30,98 @@ use serde::{Deserialize, Serialize};
 /// support boundary may additionally appear with `µ_i = 0.0`, which scoring
 /// treats exactly like an absent entry). This is what makes the sparse
 /// scoring kernels in `lad_core::metrics` bit-identical to the dense ones.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
+pub struct MuView<'a> {
+    groups: &'a [u32],
+    values: &'a [f64],
+    group_count: usize,
+    group_size: usize,
+}
+
+impl<'a> MuView<'a> {
+    /// Builds a view over parallel `groups`/`values` slices (strictly
+    /// ascending group ids, one value per id).
+    pub(crate) fn new(
+        groups: &'a [u32],
+        values: &'a [f64],
+        group_count: usize,
+        group_size: usize,
+    ) -> Self {
+        debug_assert_eq!(
+            groups.len(),
+            values.len(),
+            "parallel µ arrays differ in length"
+        );
+        Self {
+            groups,
+            values,
+            group_count,
+            group_size,
+        }
+    }
+
+    /// The support's group ids, ascending.
+    #[inline]
+    pub fn groups(&self) -> &'a [u32] {
+        self.groups
+    }
+
+    /// µ values, parallel to [`Self::groups`].
+    #[inline]
+    pub fn values(&self) -> &'a [f64] {
+        self.values
+    }
+
+    /// `(group, µ_i)` pairs in ascending group order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + 'a {
+        self.groups.iter().copied().zip(self.values.iter().copied())
+    }
+
+    /// Number of support entries `k`.
+    pub fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// `true` when the support is empty (estimate farther than `z_max` from
+    /// every deployment point).
+    pub fn is_empty(&self) -> bool {
+        self.groups.is_empty()
+    }
+
+    /// Total number of deployment groups `n`.
+    #[inline]
+    pub fn group_count(&self) -> usize {
+        self.group_count
+    }
+
+    /// Per-group node count `m`.
+    #[inline]
+    pub fn group_size(&self) -> usize {
+        self.group_size
+    }
+
+    /// Materialises the dense `µ` vector (O(n); for tests and interop, not
+    /// the hot path).
+    pub fn to_dense(&self) -> Vec<f64> {
+        let mut mu = vec![0.0; self.group_count];
+        for (g, v) in self.iter() {
+            mu[g as usize] = v;
+        }
+        mu
+    }
+}
+
+/// The owned fill buffer of a sparse expected observation: the support's
+/// group ids and µ values as parallel arrays of equal length, sorted by
+/// group index. Score against it through [`Self::view`]. (Not
+/// deserializable: a derived decoder could not keep the two arrays the
+/// same length.)
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseMu {
-    /// `(group index, µ_i)`, sorted by group index, one entry per support
-    /// group.
-    entries: Vec<(u32, f64)>,
+    /// Support group ids, ascending.
+    groups: Vec<u32>,
+    /// µ values, parallel to `groups`.
+    values: Vec<f64>,
     /// Total number of deployment groups `n` the sparse vector is over.
     group_count: usize,
     /// Per-group node count `m`.
@@ -46,34 +136,41 @@ impl SparseMu {
         Self::default()
     }
 
-    /// Builds the buffer from explicit entries (mostly for tests). Entries
-    /// must be sorted by group index with no duplicates.
+    /// Builds the buffer from explicit `(group, µ_i)` entries (mostly for
+    /// tests). Entries must be sorted by group index with no duplicates.
     pub fn from_entries(entries: Vec<(u32, f64)>, group_count: usize, group_size: usize) -> Self {
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "sparse µ entries must be strictly sorted by group index"
         );
+        let (groups, values) = entries.into_iter().unzip();
         Self {
-            entries,
+            groups,
+            values,
             group_count,
             group_size,
         }
     }
 
-    /// The `(group, µ_i)` support entries, sorted by group index.
-    pub fn entries(&self) -> &[(u32, f64)] {
-        &self.entries
+    /// The borrowed view every sparse kernel scores against.
+    #[inline]
+    pub fn view(&self) -> MuView<'_> {
+        MuView::new(
+            &self.groups,
+            &self.values,
+            self.group_count,
+            self.group_size,
+        )
     }
 
     /// Number of support entries `k`.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.groups.len()
     }
 
-    /// `true` when the support is empty (estimate farther than `z_max` from
-    /// every deployment point).
+    /// `true` when the support is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.groups.is_empty()
     }
 
     /// Total number of deployment groups `n`.
@@ -86,33 +183,47 @@ impl SparseMu {
         self.group_size
     }
 
-    /// Materialises the dense `µ` vector (O(n); for tests and interop, not
-    /// the hot path).
+    /// Materialises the dense `µ` vector (O(n); for tests and interop).
     pub fn to_dense(&self) -> Vec<f64> {
-        let mut mu = vec![0.0; self.group_count];
-        for &(g, v) in &self.entries {
-            mu[g as usize] = v;
-        }
-        mu
+        self.view().to_dense()
     }
 
     /// Clears the buffer and re-tags it for a deployment with `group_count`
     /// groups of `group_size` nodes, keeping the allocation.
     pub(crate) fn reset(&mut self, group_count: usize, group_size: usize) {
-        self.entries.clear();
+        self.groups.clear();
+        self.values.clear();
         self.group_count = group_count;
         self.group_size = group_size;
     }
 
-    /// Appends one support entry (callers push in ascending group order).
-    pub(crate) fn push(&mut self, group: u32, mu: f64) {
-        self.entries.push((group, mu));
+    /// Replaces the entries with the `(group, d²)` candidates whose `d²` is
+    /// below `limit`, in candidate order. Branch-free compaction: every
+    /// candidate is written at the cursor, which advances only past kept
+    /// ones, so the unpredictable filter costs no mispredicted branch.
+    #[inline]
+    pub(crate) fn gather<I>(&mut self, candidates: I, limit: f64)
+    where
+        I: ExactSizeIterator<Item = (u32, f64)>,
+    {
+        let len = candidates.len();
+        self.groups.resize(len, 0);
+        self.values.resize(len, 0.0);
+        let (groups, values) = (&mut self.groups[..len], &mut self.values[..len]);
+        let mut kept = 0usize;
+        for (group, d_sq) in candidates {
+            groups[kept] = group;
+            values[kept] = d_sq;
+            kept += usize::from(d_sq < limit);
+        }
+        self.groups.truncate(kept);
+        self.values.truncate(kept);
     }
 
-    /// Mutable access for the two-phase fill (gather distances, then map
+    /// Mutable µ values for the two-phase fill (gather distances, then map
     /// them to µ in a tight loop).
-    pub(crate) fn entries_mut(&mut self) -> &mut [(u32, f64)] {
-        &mut self.entries
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
     }
 }
 
@@ -213,6 +324,8 @@ mod tests {
     fn to_dense_scatters_entries() {
         let smu = SparseMu::from_entries(vec![(1, 2.5), (4, 0.5)], 6, 60);
         assert_eq!(smu.to_dense(), vec![0.0, 2.5, 0.0, 0.0, 0.5, 0.0]);
+        assert_eq!(smu.view().groups(), &[1, 4]);
+        assert_eq!(smu.view().values(), &[2.5, 0.5]);
         assert_eq!(smu.len(), 2);
         assert!(!smu.is_empty());
         assert_eq!(smu.group_count(), 6);
@@ -224,7 +337,7 @@ mod tests {
         let mut smu = SparseMu::from_entries(vec![(0, 1.0)], 4, 10);
         let cap = {
             smu.reset(9, 20);
-            smu.entries.capacity()
+            smu.groups.capacity().min(smu.values.capacity())
         };
         assert!(cap >= 1);
         assert!(smu.is_empty());

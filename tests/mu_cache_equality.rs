@@ -31,12 +31,17 @@ fn assert_cached_equals_uncached(k: &DeploymentKnowledge, cache: &mut MuCache, t
     let mut fresh = SparseMu::new();
     k.expected_sparse_into(theta, &mut fresh);
     let cached = k.expected_sparse_cached(theta, cache);
+    let fresh = fresh.view();
     assert_eq!(
-        cached.entries().len(),
-        fresh.entries().len(),
+        cached.len(),
+        fresh.len(),
         "support size differs at {theta:?}"
     );
-    for (c, f) in cached.entries().iter().zip(fresh.entries()) {
+    assert_eq!(
+        (cached.group_count(), cached.group_size()),
+        (fresh.group_count(), fresh.group_size())
+    );
+    for (c, f) in cached.iter().zip(fresh.iter()) {
         assert_eq!(c.0, f.0, "support group differs at {theta:?}");
         assert_eq!(
             c.1.to_bits(),
@@ -190,16 +195,51 @@ fn nan_estimates_memoize_consistently() {
     let theta = Point2::new(f64::NAN, 100.0);
     let first: Vec<(u32, u64)> = k
         .expected_sparse_cached(theta, &mut cache)
-        .entries()
         .iter()
-        .map(|&(g, v)| (g, v.to_bits()))
+        .map(|(g, v)| (g, v.to_bits()))
         .collect();
     let second: Vec<(u32, u64)> = k
         .expected_sparse_cached(theta, &mut cache)
-        .entries()
         .iter()
-        .map(|&(g, v)| (g, v.to_bits()))
+        .map(|(g, v)| (g, v.to_bits()))
         .collect();
     assert_eq!(first, second);
     assert_eq!((cache.hits(), cache.misses()), (1, 1));
+}
+
+/// A seeded paper-scale estimate stream: half the draws come from a hot set
+/// of 4096 estimates, the rest from a pool of 40 000 — far beyond a
+/// 16384-slot cache, so it churns. Estimates span the area plus a 100 m
+/// margin, so support sizes vary from edge to interior.
+fn churn_stream(len: usize) -> impl Iterator<Item = Point2> {
+    use lad_stats::seeds::splitmix64;
+    const POOL: u64 = 40_000;
+    const HOT: u64 = 4_096;
+    (0..len as u64).map(|i| {
+        let h = splitmix64(0x5EED_CAC4E ^ i);
+        let id = if h & 1 == 0 {
+            (h >> 1) % HOT
+        } else {
+            (h >> 1) % POOL
+        };
+        let p = splitmix64(id);
+        let x = (p % 1_000_003) as f64 * 1.2e-3 - 100.0;
+        let y = ((p >> 32) % 1_000_003) as f64 * 1.2e-3 - 100.0;
+        Point2::new(x, y)
+    })
+}
+
+/// Pins the replacement policy: the set hash, the 4 ways and CLOCK decide
+/// which estimates survive, so the exact `(hits, misses)` of a churning
+/// paper-scale stream through the default-capacity cache is a fingerprint
+/// of all three. The numbers are those of the original slot layout.
+#[test]
+fn replacement_policy_is_pinned_on_a_churning_paper_scale_stream() {
+    let k = DeploymentKnowledge::from_config(&DeploymentConfig::paper_default());
+    let mut cache = MuCache::new(16_384);
+    for theta in churn_stream(120_000) {
+        k.expected_sparse_cached(theta, &mut cache);
+    }
+    assert_eq!((cache.hits(), cache.misses()), (69_270, 50_730));
+    assert_eq!(cache.len(), 16_119);
 }

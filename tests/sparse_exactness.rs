@@ -5,10 +5,7 @@
 //! random / saturated observations, for all three metrics and the fused
 //! kernel.
 
-use lad_core::metrics::{
-    score_all_fused, score_all_fused_sparse, score_all_fused_sparse_obs,
-    score_all_fused_sparse_obs_soa, score_all_fused_sparse_soa, FusedSoaScratch,
-};
+use lad_core::metrics::{score_all_fused, score_all_fused_sparse, score_all_fused_sparse_obs};
 use lad_core::{DetectionRequest, LadEngine, MetricKind, ProbabilityMetric};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, SparseMu};
 use lad_geometry::Point2;
@@ -49,7 +46,8 @@ fn check_point(knowledge: &DeploymentKnowledge, obs: &Observation, theta: Point2
 
     // The sparse µ scatters back to the dense µ exactly, entries sorted.
     assert_eq!(smu.to_dense(), dense_mu, "µ mismatch at {theta:?}");
-    assert!(smu.entries().windows(2).all(|w| w[0].0 < w[1].0));
+    let mu = smu.view();
+    assert!(mu.groups().windows(2).all(|w| w[0] < w[1]));
 
     // Support equals the brute-force within-z_max set (dense early-out
     // predicate), modulo boundary entries whose µ is exactly 0 — those are
@@ -65,8 +63,7 @@ fn check_point(knowledge: &DeploymentKnowledge, obs: &Observation, theta: Point2
         })
         .map(|g| g as u32)
         .collect();
-    let got: Vec<u32> = smu.entries().iter().map(|&(g, _)| g).collect();
-    assert_eq!(got, brute, "support mismatch at {theta:?}");
+    assert_eq!(mu.groups(), brute, "support mismatch at {theta:?}");
 
     let mut batch = ObservationBatch::new(knowledge.group_count());
     batch.push(obs, theta);
@@ -76,35 +73,22 @@ fn check_point(knowledge: &DeploymentKnowledge, obs: &Observation, theta: Point2
     for kind in MetricKind::ALL {
         let metric = kind.metric();
         let dense = metric.score(obs, &dense_mu, m);
-        let sparse = metric.score_sparse(row, &smu);
+        let sparse = metric.score_sparse(row, mu);
         assert_bits(dense, sparse, kind.name());
     }
     assert_bits(
         ProbabilityMetric::min_ln_probability(obs, &dense_mu, m),
-        ProbabilityMetric::min_ln_probability_sparse(row, &smu),
+        ProbabilityMetric::min_ln_probability_sparse(row, mu),
         "min_ln_probability",
     );
 
     // Fused kernels: dense, sparse row, sparse µ against a dense obs.
     let dense_fused = score_all_fused(obs, &dense_mu, m);
-    let sparse_fused = score_all_fused_sparse(row, &smu);
-    let sparse_obs_fused = score_all_fused_sparse_obs(obs, &smu);
+    let sparse_fused = score_all_fused_sparse(row, mu);
+    let sparse_obs_fused = score_all_fused_sparse_obs(obs, mu);
     for i in 0..3 {
         assert_bits(dense_fused[i], sparse_fused[i], "fused sparse row");
         assert_bits(dense_fused[i], sparse_obs_fused[i], "fused sparse obs");
-    }
-
-    // SoA fused kernels: the single-gather + 4-wide-unrolled variants must
-    // reproduce their scalar twins bit for bit — this is the proptest-corpus
-    // proof that the SoA reduction order equals the scalar one. The scratch
-    // is reused across both calls (dirty-buffer reuse is the serving
-    // reality).
-    let mut soa = FusedSoaScratch::new();
-    let soa_row = score_all_fused_sparse_soa(row, &smu, &mut soa);
-    let soa_obs = score_all_fused_sparse_obs_soa(obs, &smu, &mut soa);
-    for i in 0..3 {
-        assert_bits(sparse_fused[i], soa_row[i], "SoA fused sparse row");
-        assert_bits(sparse_obs_fused[i], soa_obs[i], "SoA fused sparse obs");
     }
 }
 
