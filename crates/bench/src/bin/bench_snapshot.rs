@@ -9,13 +9,15 @@
 //! series ring *plus* the drift monitor on vs everything off, with an
 //! asserted bound), and the end-to-end wire path (TCP loopback through
 //! `lad_wire`, plus the shed fraction under a 2× overload, with per-stage
-//! latency percentiles from the runtime's telemetry) — and writes the
-//! numbers to a `BENCH_<pr>.json` at the repo root, so every PR leaves a
-//! comparable perf record behind.
+//! latency percentiles from the runtime's telemetry), and the shard
+//! kernel's cold-round latency (one paper-scale round scored right after
+//! an 8 MiB cache-evicting sweep, beside the same round scored warm) — and
+//! writes the numbers to a `BENCH_<pr>.json` at the repo root, so every PR
+//! leaves a comparable perf record behind.
 //!
 //! ```text
 //! cargo run --release -p lad_bench --bin bench_snapshot -- \
-//!     [--out BENCH_13.json] [--quick] [--compare BENCH_13.json]
+//!     [--out BENCH_14.json] [--quick] [--compare BENCH_14.json]
 //! ```
 //!
 //! `--quick` shrinks iteration counts for CI; `--compare` prints
@@ -126,6 +128,28 @@ struct WireRate {
     shed_fraction_at_2x_overload: f64,
 }
 
+/// The serve shard's scoring kernel (`score_rows_seq_one_cached_into`,
+/// Diff, default µ-cache capacity) on one paper-scale round of 512
+/// reporters whose estimates were all memoized before (a few still miss
+/// on set conflicts, as on a serving shard): once right after an 8 MiB
+/// sweep of other memory has evicted the cache's lines — what a paced
+/// shard sees after idling between rounds — and once more straight after,
+/// warm. Each round is first copied, as the shard's handoff does, so the
+/// rows themselves are warm in both cases.
+#[derive(Debug, Serialize)]
+struct ColdRound {
+    /// Mean reports per scored round.
+    reports_per_round: f64,
+    /// Median µs to score a round after the eviction sweep.
+    cold_round_p50_us: f64,
+    /// Median µs to score the same round again immediately after.
+    warm_round_p50_us: f64,
+    /// cold / warm.
+    cold_vs_warm: f64,
+    /// µ-cache hit rate over the timed rounds.
+    mu_hit_rate: f64,
+}
+
 /// The whole snapshot (`BENCH_<pr>.json`).
 #[derive(Debug, Serialize)]
 struct Snapshot {
@@ -152,6 +176,7 @@ struct Snapshot {
     /// measurement here that exercises the whole pipeline (decode → gate
     /// → queue → score → detector → drain) end to end.
     wire_stage_latency: Vec<StageSummary>,
+    serve_cold_round: ColdRound,
 }
 
 /// Timing knobs: `--quick` shrinks every window so CI finishes in seconds.
@@ -161,6 +186,7 @@ struct Effort {
     kernel_iters: u32,
     serve_passes: usize,
     wire_passes: u64,
+    cold_rounds: usize,
 }
 
 impl Effort {
@@ -170,6 +196,7 @@ impl Effort {
             kernel_iters: 200_000,
             serve_passes: 12,
             wire_passes: 48,
+            cold_rounds: 400,
         }
     }
 
@@ -179,6 +206,7 @@ impl Effort {
             kernel_iters: 20_000,
             serve_passes: 3,
             wire_passes: 8,
+            cold_rounds: 64,
         }
     }
 }
@@ -441,6 +469,75 @@ fn wire_run(policy: OverloadPolicy, passes: u64) -> (f64, u64, u64, Vec<StageSum
     (rate, accepted, offered, stages)
 }
 
+/// Measures [`ColdRound`]: an 8-round pool of clean paper-scale traffic is
+/// scored once to memoize its estimates, then each timed repetition
+/// sweeps 8 MiB, copies the next round and scores it cold, then warm.
+fn serve_cold_round(effort: Effort) -> ColdRound {
+    const REPORTERS: usize = 512;
+    const SWEEP_BYTES: usize = 8 << 20;
+    let engine = LadEngine::builder()
+        .deployment(&DeploymentConfig::paper_default())
+        .metrics(&MetricKind::ALL)
+        .score_only()
+        .build()
+        .expect("paper-scale engine builds");
+    let network = Network::generate(engine.knowledge().clone(), 0xC01D);
+    let stride = network.node_count() / REPORTERS;
+    let nodes: Vec<NodeId> = (0..REPORTERS)
+        .map(|i| NodeId((i * stride) as u32))
+        .collect();
+    let traffic = TrafficModel::clean(&network, &engine, nodes, 0x7A5E);
+    let rounds: Vec<ObservationBatch> = (0..8u64)
+        .map(|r| {
+            let mut nodes = Vec::new();
+            let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+            traffic.round_rows(&network, r, &mut nodes, &mut rows);
+            rows
+        })
+        .collect();
+    // `ServeConfig`'s default capacity.
+    let mut cache = MuCache::new(16_384);
+    let mut scores = Vec::new();
+    let mut score_us = |rows: &ObservationBatch, cache: &mut MuCache| {
+        scores.resize(rows.len(), 0.0);
+        let t0 = Instant::now();
+        engine.score_rows_seq_one_cached_into(rows, MetricKind::Diff, cache, &mut scores);
+        let us = t0.elapsed().as_nanos() as f64 / 1e3;
+        black_box(&scores);
+        us
+    };
+    for rows in &rounds {
+        score_us(rows, &mut cache);
+    }
+    cache.take_stats();
+    let mut sweep = vec![0u64; SWEEP_BYTES / 8];
+    let (mut cold, mut warm, mut reports) = (Vec::new(), Vec::new(), 0usize);
+    for i in 0..effort.cold_rounds {
+        // One write per 64-byte line evicts the cache's lines.
+        for word in sweep.iter_mut().step_by(8) {
+            *word = word.wrapping_add(1);
+        }
+        black_box(&mut sweep);
+        let rows = rounds[i % rounds.len()].clone();
+        reports += rows.len();
+        cold.push(score_us(&rows, &mut cache));
+        warm.push(score_us(&rows, &mut cache));
+    }
+    let (hits, misses) = cache.take_stats();
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (cold, warm) = (median(cold), median(warm));
+    ColdRound {
+        reports_per_round: reports as f64 / effort.cold_rounds as f64,
+        cold_round_p50_us: cold,
+        warm_round_p50_us: warm,
+        cold_vs_warm: cold / warm,
+        mu_hit_rate: hits as f64 / (hits + misses) as f64,
+    }
+}
+
 /// A numeric metric extracted from a snapshot for `--compare`: name,
 /// value, and whether larger is better (throughput) or worse (ns, ratio).
 struct Metric {
@@ -498,6 +595,16 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
             false,
         ),
         Metric::new("wire.reports_per_sec", snap.wire.reports_per_sec, true),
+        Metric::new(
+            "serve_cold_round.cold_round_p50_us",
+            snap.serve_cold_round.cold_round_p50_us,
+            false,
+        ),
+        Metric::new(
+            "serve_cold_round.warm_round_p50_us",
+            snap.serve_cold_round.warm_round_p50_us,
+            false,
+        ),
     ];
     for rate in &snap.serve {
         // One entry per shard count; the old snapshot is matched by count.
@@ -597,7 +704,7 @@ fn compare_snapshots(old_path: &str, snap: &Snapshot) -> usize {
 }
 
 fn main() {
-    let mut out = String::from("BENCH_13.json");
+    let mut out = String::from("BENCH_14.json");
     let mut quick = false;
     let mut compare: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -690,7 +797,7 @@ fn main() {
             / overload_offered as f64,
     };
     let snapshot = Snapshot {
-        pr: 13,
+        pr: 14,
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -725,6 +832,7 @@ fn main() {
         serve_uncached_1shard: serve_uncached,
         wire,
         wire_stage_latency: wire_stages,
+        serve_cold_round: serve_cold_round(effort),
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&out, format!("{json}\n")).expect("snapshot written");

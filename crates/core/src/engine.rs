@@ -796,7 +796,9 @@ impl LadEngine {
     /// Scores are **bit-identical** to [`Self::score_rows_into`] — a cache
     /// hit is scored in place against the support `expected_sparse_into`
     /// produced for the same exact estimate bits (see [`MuCache`]). The
-    /// cache must be dedicated to this engine's deployment.
+    /// cache must be dedicated to this engine's deployment. The lookups run
+    /// through [`DeploymentKnowledge::for_each_mu_cached`], which
+    /// prefetches each row's cache lines a few rows ahead.
     ///
     /// # Panics
     /// Panics when `out.len() != batch.len() * self.metrics().len()` or the
@@ -818,12 +820,10 @@ impl LadEngine {
             batch.len() * width,
             "output buffer must hold {width} scores per row"
         );
-        for (r, row_out) in (0..batch.len()).zip(out.chunks_exact_mut(width)) {
-            let mu = self
-                .knowledge
-                .expected_sparse_cached(batch.estimate(r), cache);
-            self.score_row_into(batch.row(r), mu, row_out);
-        }
+        self.knowledge
+            .for_each_mu_cached(batch.as_csr().estimates, cache, |r, mu| {
+                self.score_row_into(batch.row(r), mu, &mut out[r * width..(r + 1) * width]);
+            });
     }
 
     /// Scores one CSR row against a sparse µ with every configured metric
@@ -916,12 +916,10 @@ impl LadEngine {
             "output buffer must hold one score per row"
         );
         let scorer = &self.scorers[idx];
-        for (r, slot) in out.iter_mut().enumerate() {
-            let mu = self
-                .knowledge
-                .expected_sparse_cached(batch.estimate(r), cache);
-            *slot = scorer.score_sparse(batch.row(r), mu);
-        }
+        self.knowledge
+            .for_each_mu_cached(batch.as_csr().estimates, cache, |r, mu| {
+                out[r] = scorer.score_sparse(batch.row(r), mu);
+            });
     }
 
     /// Upper bound on the number of requests each worker-thread chunk

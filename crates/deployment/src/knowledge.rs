@@ -263,6 +263,25 @@ impl DeploymentKnowledge {
         )
     }
 
+    /// [`Self::expected_sparse_cached`] for every estimate of a batch, in
+    /// order, calling `f(row, µ)` with each memoized µ. The lookups are
+    /// software-pipelined (see [`mu_cache`](crate::mu_cache)): the cache
+    /// lines a hit reads are prefetched a few rows ahead, so a batch whose
+    /// sets went cold overlaps those misses instead of waiting on one at a
+    /// time. Every µ, the cache's replacement decisions and its
+    /// `(hits, misses)` equal the row-at-a-time loop.
+    pub fn for_each_mu_cached<F>(&self, estimates: &[Point2], cache: &mut MuCache, f: F)
+    where
+        F: FnMut(usize, MuView<'_>),
+    {
+        cache.for_each_or_fill(
+            estimates,
+            |theta, out| self.gather_support(theta, out),
+            self.mu_of_distance_sq(),
+            f,
+        );
+    }
+
     /// Upper end of the tabulated g(z) domain — the radius of the support
     /// disk around an estimate (`z_max = R + 6σ`).
     pub fn support_radius(&self) -> f64 {

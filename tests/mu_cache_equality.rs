@@ -6,7 +6,11 @@
 //! eviction churn under adversarially tiny capacities. On top of the raw µ
 //! equality, the engine's cached row-scoring entry points must reproduce
 //! the uncached ones bit for bit, all-metrics and single-metric alike.
+//! The software-pipelined batch lookup behind those entry points must be
+//! only a hint: it equals a row-at-a-time loop in every bit and every
+//! replacement decision.
 
+use lad_core::metrics::score_all_fused_sparse;
 use lad_core::{LadEngine, MetricKind};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
 use lad_geometry::Point2;
@@ -242,4 +246,117 @@ fn replacement_policy_is_pinned_on_a_churning_paper_scale_stream() {
     }
     assert_eq!((cache.hits(), cache.misses()), (69_270, 50_730));
     assert_eq!(cache.len(), 16_119);
+}
+
+/// One looked-up row as comparable bits: the support's group ids, its µ
+/// bits and the three metrics' score bits against the row's observation.
+type RowBits = (Vec<u32>, Vec<u64>, [u64; 3]);
+
+fn row_bits(rows: &ObservationBatch, r: usize, mu: lad_deployment::MuView<'_>) -> RowBits {
+    (
+        mu.groups().to_vec(),
+        mu.values().iter().map(|v| v.to_bits()).collect(),
+        score_all_fused_sparse(rows.row(r), mu).map(f64::to_bits),
+    )
+}
+
+/// Looks up every estimate of `rows` through the pipelined batch path on
+/// `piped` and through a row-at-a-time `expected_sparse_cached` loop on
+/// `looped` (two caches in the same state), and asserts the prefetching
+/// changed nothing: the same µ and score bits per row, the same
+/// `(hits, misses)`, `len()` and `held_entries()`.
+fn assert_pipeline_matches_row_loop(
+    k: &DeploymentKnowledge,
+    rows: &ObservationBatch,
+    piped: &mut MuCache,
+    looped: &mut MuCache,
+) {
+    let estimates = rows.as_csr().estimates;
+    let mut got = Vec::new();
+    k.for_each_mu_cached(estimates, piped, |r, mu| {
+        assert_eq!(r, got.len(), "rows are visited in order");
+        got.push(row_bits(rows, r, mu));
+    });
+    let want: Vec<RowBits> = estimates
+        .iter()
+        .enumerate()
+        .map(|(r, &theta)| row_bits(rows, r, k.expected_sparse_cached(theta, looped)))
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(
+        (piped.hits(), piped.misses()),
+        (looped.hits(), looped.misses())
+    );
+    assert_eq!(piped.len(), looped.len());
+    assert_eq!(piped.held_entries(), looped.held_entries());
+}
+
+/// A batch of `thetas` with a small observation per row that varies with
+/// the row index, so the score bits depend on which µ each row got.
+fn batch_of(k: &DeploymentKnowledge, thetas: impl IntoIterator<Item = Point2>) -> ObservationBatch {
+    let n = k.group_count() as u32;
+    let mut rows = ObservationBatch::new(n as usize);
+    for (i, theta) in thetas.into_iter().enumerate() {
+        let g = (i as u32 * 37) % (n - 2);
+        rows.push_sparse(&[g, g + 2], &[1 + i as u32 % 5, 3], theta);
+    }
+    rows
+}
+
+/// The pipelined lookup is only a hint on the churning paper-scale stream
+/// (fed in 512-row batches, the serve round size, through the default
+/// capacity), where it also reproduces the pinned policy fingerprint.
+#[test]
+fn pipelined_lookup_equals_the_row_loop_on_the_churning_stream() {
+    let k = DeploymentKnowledge::from_config(&DeploymentConfig::paper_default());
+    let (mut piped, mut looped) = (MuCache::new(16_384), MuCache::new(16_384));
+    let stream: Vec<Point2> = churn_stream(120_000).collect();
+    for chunk in stream.chunks(512) {
+        let rows = batch_of(&k, chunk.iter().copied());
+        assert_pipeline_matches_row_loop(&k, &rows, &mut piped, &mut looped);
+    }
+    assert_eq!((piped.hits(), piped.misses()), (69_270, 50_730));
+    assert_eq!(piped.len(), 16_119);
+}
+
+/// A capacity-4 cache is one set, so rows inside the prefetch distance
+/// evict the very slots an earlier peek prefetched: the hint goes stale
+/// and must stay harmless.
+#[test]
+fn pipelined_lookup_equals_the_row_loop_when_rows_evict_each_other() {
+    let k = DeploymentKnowledge::from_config(&DeploymentConfig::paper_default());
+    let (mut piped, mut looped) = (MuCache::new(4), MuCache::new(4));
+    assert_eq!(piped.capacity(), 4);
+    // Seven distinct estimates in a repeating, shifting pattern: some
+    // rows hit a slot that a row between the peek and the lookup evicts.
+    let pool: Vec<Point2> = (0..7)
+        .map(|i| Point2::new(80.0 + 130.0 * i as f64, 900.0 - 110.0 * i as f64))
+        .collect();
+    for batch in 0..40usize {
+        let thetas = (0..batch % 13 + 5).map(|i| pool[(i * (batch % 3 + 1) + batch) % 7]);
+        let rows = batch_of(&k, thetas);
+        assert_pipeline_matches_row_loop(&k, &rows, &mut piped, &mut looped);
+    }
+    assert!(piped.hits() > 0 && piped.misses() > 100, "both paths churn");
+}
+
+/// Batches shorter than the prefetch distances (0–3 rows), on an empty
+/// cache and on a warm one.
+#[test]
+fn pipelined_lookup_equals_the_row_loop_on_batches_shorter_than_the_distances() {
+    let k = knowledge(40.0, 60);
+    let (mut piped, mut looped) = (MuCache::new(8), MuCache::new(8));
+    let pool = [
+        Point2::new(10.0, 20.0),
+        Point2::new(200.0, 310.5),
+        Point2::new(-900.0, 5.0),
+        Point2::new(399.0, 0.25),
+    ];
+    for pass in 0..3 {
+        for len in 0..=3usize {
+            let rows = batch_of(&k, (0..len).map(|i| pool[(i + pass + len) % pool.len()]));
+            assert_pipeline_matches_row_loop(&k, &rows, &mut piped, &mut looped);
+        }
+    }
+    assert!(piped.hits() > 0, "later passes hit");
 }
