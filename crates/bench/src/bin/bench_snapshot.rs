@@ -11,13 +11,15 @@
 //! `lad_wire`, plus the shed fraction under a 2× overload, with per-stage
 //! latency percentiles from the runtime's telemetry), and the shard
 //! kernel's cold-round latency (one paper-scale round scored right after
-//! an 8 MiB cache-evicting sweep, beside the same round scored warm) — and
-//! writes the numbers to a `BENCH_<pr>.json` at the repo root, so every PR
-//! leaves a comparable perf record behind.
+//! an 8 MiB cache-evicting sweep, beside the same round scored warm), and
+//! the paced serve round (`submit_rows` + `sync` of one paper-scale round
+//! after the shard has idled for 2.5 ms) — and writes the numbers to a
+//! `BENCH_<pr>.json` at the repo root, so every PR leaves a comparable
+//! perf record behind.
 //!
 //! ```text
 //! cargo run --release -p lad_bench --bin bench_snapshot -- \
-//!     [--out BENCH_14.json] [--quick] [--compare BENCH_14.json]
+//!     [--out BENCH_16.json] [--quick] [--compare BENCH_16.json]
 //! ```
 //!
 //! `--quick` shrinks iteration counts for CI; `--compare` prints
@@ -40,7 +42,7 @@ use lad_wire::{DeliveryStatus, OverloadPolicy, WireClient, WireServer, WireServe
 use serde::{Serialize, Value};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One kernel measurement: the dense path vs the sparse fill + fused pass vs
 /// the memoized (cache-hit) fused pass, all bit-identical.
@@ -150,6 +152,21 @@ struct ColdRound {
     mu_hit_rate: f64,
 }
 
+/// One paced serve round on a single shard: `submit_rows` + `sync` of a
+/// paper-scale round after the shard has idled — the latency a caller that
+/// submits a round and waits for its decisions sees.
+#[derive(Debug, Serialize)]
+struct PacedSync {
+    /// Mean reports per timed round.
+    reports_per_round: f64,
+    /// Idle gap before each timed round, µs.
+    idle_gap_us: f64,
+    /// Median µs of `submit_rows` + `sync`.
+    round_p50_us: f64,
+    /// 99th-percentile µs of `submit_rows` + `sync`.
+    round_p99_us: f64,
+}
+
 /// The whole snapshot (`BENCH_<pr>.json`).
 #[derive(Debug, Serialize)]
 struct Snapshot {
@@ -177,6 +194,7 @@ struct Snapshot {
     /// → queue → score → detector → drain) end to end.
     wire_stage_latency: Vec<StageSummary>,
     serve_cold_round: ColdRound,
+    serve_paced_sync: PacedSync,
 }
 
 /// Timing knobs: `--quick` shrinks every window so CI finishes in seconds.
@@ -187,6 +205,7 @@ struct Effort {
     serve_passes: usize,
     wire_passes: u64,
     cold_rounds: usize,
+    paced_rounds: usize,
 }
 
 impl Effort {
@@ -197,6 +216,7 @@ impl Effort {
             serve_passes: 12,
             wire_passes: 48,
             cold_rounds: 400,
+            paced_rounds: 400,
         }
     }
 
@@ -207,6 +227,7 @@ impl Effort {
             serve_passes: 3,
             wire_passes: 8,
             cold_rounds: 64,
+            paced_rounds: 100,
         }
     }
 }
@@ -469,32 +490,55 @@ fn wire_run(policy: OverloadPolicy, passes: u64) -> (f64, u64, u64, Vec<StageSum
     (rate, accepted, offered, stages)
 }
 
-/// Measures [`ColdRound`]: an 8-round pool of clean paper-scale traffic is
-/// scored once to memoize its estimates, then each timed repetition
-/// sweeps 8 MiB, copies the next round and scores it cold, then warm.
-fn serve_cold_round(effort: Effort) -> ColdRound {
+/// Clean paper-scale traffic: the engine, a calibrated single-metric
+/// detector, and an 8-round pool of rounds from 512 reporters spread
+/// evenly over the network.
+struct PaperRounds {
+    engine: Arc<LadEngine>,
+    detector: SequentialDetector,
+    rounds: Vec<(Vec<NodeId>, ObservationBatch)>,
+}
+
+fn paper_rounds() -> PaperRounds {
     const REPORTERS: usize = 512;
-    const SWEEP_BYTES: usize = 8 << 20;
-    let engine = LadEngine::builder()
-        .deployment(&DeploymentConfig::paper_default())
-        .metrics(&MetricKind::ALL)
-        .score_only()
-        .build()
-        .expect("paper-scale engine builds");
+    let engine = Arc::new(
+        LadEngine::builder()
+            .deployment(&DeploymentConfig::paper_default())
+            .metrics(&MetricKind::ALL)
+            .score_only()
+            .build()
+            .expect("paper-scale engine builds"),
+    );
     let network = Network::generate(engine.knowledge().clone(), 0xC01D);
     let stride = network.node_count() / REPORTERS;
     let nodes: Vec<NodeId> = (0..REPORTERS)
         .map(|i| NodeId((i * stride) as u32))
         .collect();
     let traffic = TrafficModel::clean(&network, &engine, nodes, 0x7A5E);
-    let rounds: Vec<ObservationBatch> = (0..8u64)
+    let streams = traffic.score_streams(&network, &engine, MetricKind::Diff, 0..4);
+    let detector = SequentialDetector::calibrate_cusum(streams.iter().map(Vec::as_slice), 0.01);
+    let rounds = (0..8u64)
         .map(|r| {
             let mut nodes = Vec::new();
             let mut rows = ObservationBatch::new(engine.knowledge().group_count());
             traffic.round_rows(&network, r, &mut nodes, &mut rows);
-            rows
+            (nodes, rows)
         })
         .collect();
+    PaperRounds {
+        engine,
+        detector,
+        rounds,
+    }
+}
+
+/// Measures [`ColdRound`]: an 8-round pool of clean paper-scale traffic is
+/// scored once to memoize its estimates, then each timed repetition
+/// sweeps 8 MiB, copies the next round and scores it cold, then warm.
+fn serve_cold_round(effort: Effort) -> ColdRound {
+    const SWEEP_BYTES: usize = 8 << 20;
+    let PaperRounds { engine, rounds, .. } = paper_rounds();
+    let rounds: Vec<ObservationBatch> = rounds.into_iter().map(|(_, rows)| rows).collect();
     // `ServeConfig`'s default capacity.
     let mut cache = MuCache::new(16_384);
     let mut scores = Vec::new();
@@ -535,6 +579,43 @@ fn serve_cold_round(effort: Effort) -> ColdRound {
         warm_round_p50_us: warm,
         cold_vs_warm: cold / warm,
         mu_hit_rate: hits as f64 / (hits + misses) as f64,
+    }
+}
+
+/// Measures [`PacedSync`]: a single-shard runtime takes one pass over the
+/// paper-scale pool to memoize its estimates, then each timed round idles
+/// 2.5 ms and times `submit_rows` + `sync` of the pool's next round.
+fn serve_paced_sync(effort: Effort) -> PacedSync {
+    const IDLE_GAP: Duration = Duration::from_micros(2500);
+    let PaperRounds {
+        engine,
+        detector,
+        rounds,
+    } = paper_rounds();
+    let runtime = ServeRuntime::start(engine, ServeConfig::new(MetricKind::Diff, detector))
+        .expect("runtime starts");
+    for (r, (nodes, rows)) in rounds.iter().enumerate() {
+        runtime.submit_rows(r as u64, nodes, rows);
+    }
+    runtime.sync();
+    let (mut us, mut reports) = (Vec::with_capacity(effort.paced_rounds), 0usize);
+    for i in 0..effort.paced_rounds {
+        std::thread::sleep(IDLE_GAP);
+        let (nodes, rows) = &rounds[i % rounds.len()];
+        let t0 = Instant::now();
+        runtime.submit_rows((rounds.len() + i) as u64, nodes, rows);
+        runtime.sync();
+        us.push(t0.elapsed().as_nanos() as f64 / 1e3);
+        reports += nodes.len();
+    }
+    let report = runtime.shutdown();
+    assert_eq!(report.counters.processed, report.counters.submitted);
+    us.sort_by(f64::total_cmp);
+    PacedSync {
+        reports_per_round: reports as f64 / effort.paced_rounds as f64,
+        idle_gap_us: IDLE_GAP.as_nanos() as f64 / 1e3,
+        round_p50_us: us[us.len() / 2],
+        round_p99_us: us[(us.len() * 99 / 100).min(us.len() - 1)],
     }
 }
 
@@ -603,6 +684,16 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
         Metric::new(
             "serve_cold_round.warm_round_p50_us",
             snap.serve_cold_round.warm_round_p50_us,
+            false,
+        ),
+        Metric::new(
+            "serve_paced_sync.round_p50_us",
+            snap.serve_paced_sync.round_p50_us,
+            false,
+        ),
+        Metric::new(
+            "serve_paced_sync.round_p99_us",
+            snap.serve_paced_sync.round_p99_us,
             false,
         ),
     ];
@@ -704,7 +795,7 @@ fn compare_snapshots(old_path: &str, snap: &Snapshot) -> usize {
 }
 
 fn main() {
-    let mut out = String::from("BENCH_14.json");
+    let mut out = String::from("BENCH_16.json");
     let mut quick = false;
     let mut compare: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -797,7 +888,7 @@ fn main() {
             / overload_offered as f64,
     };
     let snapshot = Snapshot {
-        pr: 14,
+        pr: 16,
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -833,6 +924,7 @@ fn main() {
         wire,
         wire_stage_latency: wire_stages,
         serve_cold_round: serve_cold_round(effort),
+        serve_paced_sync: serve_paced_sync(effort),
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&out, format!("{json}\n")).expect("snapshot written");

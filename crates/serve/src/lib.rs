@@ -18,10 +18,10 @@
 //!            deterministic node → shard routing
 //!          ┌─────────────┼─────────────┐
 //!          ▼             ▼             ▼
-//!      shard 0       shard 1   …   shard N-1        (std threads, bounded
-//!      ────────      ────────      ────────          mpsc queues ⇒ natural
-//!      score with    score with    score with        backpressure)
-//!      LadEngine     LadEngine     LadEngine
+//!      shard 0       shard 1   …   shard N-1        (bounded batch queues ⇒
+//!      ────────      ────────      ────────          natural backpressure;
+//!      score with    score with    score with        folded by the shard's
+//!      LadEngine     LadEngine     LadEngine         thread or by `sync`)
 //!          │             │             │
 //!      per-node CUSUM / EWMA / one-shot state
 //!      (lad_stats::sequential, O(1) per node)
@@ -32,8 +32,9 @@
 //!          install_response_filter (closed loop)
 //! ```
 //!
-//! * [`ServeRuntime`] — the runtime itself: worker shards over bounded
-//!   channels, per-node detector state keyed by [`lad_net::NodeId`],
+//! * [`ServeRuntime`] — the runtime itself: shards over bounded batch
+//!   queues (a `sync` folds what is still queued on the calling thread),
+//!   per-node detector state keyed by [`lad_net::NodeId`],
 //!   batched ingestion through the engine's flat scoring kernel, an alarm
 //!   output stream, live [`ServeCounters`], graceful shutdown, versioned
 //!   [`ServeSnapshot`] save/restore of all detector state **and** undrained

@@ -1,10 +1,11 @@
 //! # lad_telemetry — derived-only observability for the serve pipeline
 //!
 //! A lock-free metrics layer accumulated **per shard with zero cross-shard
-//! sharing**: each shard worker owns a private [`ShardRegistry`] of stage
-//! latency histograms and queue gauges, writers touch only their own
-//! registry, and readers fold everything on demand into a serializable
-//! [`TelemetrySnapshot`].
+//! sharing**: each shard owns a private [`ShardRegistry`] of stage
+//! latency histograms and queue gauges, written only by the thread folding
+//! that shard's batches (its worker, or a caller folding under the
+//! shard's lock), and readers fold everything on demand into a
+//! serializable [`TelemetrySnapshot`].
 //!
 //! ## Derived state, by construction
 //!
@@ -104,15 +105,15 @@ impl Gauge {
 
 /// One writer's private metrics registry: a latency histogram per
 /// [`Stage`] plus queue gauges. The serve runtime allocates one per shard
-/// worker and one "front" registry for off-shard stages (decode, gate,
-/// drain, response step); nothing is shared between writers, so recording
-/// never contends.
+/// and one "front" registry for off-shard stages (decode, gate, drain,
+/// response step). A shard's fold stages are recorded under that shard's
+/// state lock, by whichever thread folds, so they never contend.
 #[derive(Debug, Default)]
 pub struct ShardRegistry {
     stages: [LatencyHisto; Stage::ALL.len()],
     /// Batches handed to this writer's queue (bumped by submitters).
     pub enqueued_batches: Counter,
-    /// Queue depth in batches, sampled by the worker at fold time.
+    /// Queue depth in batches, sampled at fold time.
     pub queue_depth: Gauge,
     /// Age of the most recently folded batch (enqueue → fold), nanos.
     pub queue_age_nanos: Gauge,
@@ -147,7 +148,7 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled registry for `shards` shard workers.
+    /// An enabled registry for `shards` shards.
     pub fn new(shards: usize) -> Self {
         Self::build(shards, true)
     }
@@ -178,8 +179,8 @@ impl Telemetry {
         self.shards.len()
     }
 
-    /// Shard `i`'s registry (for that shard's worker thread and the
-    /// submitters stamping its queue counters).
+    /// Shard `i`'s registry (for the thread folding that shard's batches
+    /// and the submitters stamping its queue counters).
     #[inline]
     pub fn shard(&self, i: usize) -> &ShardRegistry {
         &self.shards[i]
@@ -337,8 +338,8 @@ pub struct TelemetrySnapshot {
     pub uptime_nanos: u64,
     /// One summary per [`Stage`], in pipeline order.
     pub stages: Vec<StageSummary>,
-    /// Total queued batches across shards, as sampled at fold time by
-    /// each worker (advisory: workers fold concurrently with reads).
+    /// Total queued batches across shards, as sampled by each shard's
+    /// latest fold (advisory: folds run concurrently with reads).
     pub queue_depth: u64,
     /// Per-shard fold-time queue depth, in shard order.
     pub shard_queue_depth: Vec<u64>,

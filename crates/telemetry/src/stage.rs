@@ -7,7 +7,7 @@ use std::time::Instant;
 /// The instrumented stages of the serve pipeline, in pipeline order.
 ///
 /// Each stage owns one [`LatencyHisto`] per registry. `QueueWait`, `Score`
-/// and `DetectorUpdate` accumulate on the shard-worker registries; the
+/// and `DetectorUpdate` accumulate on the per-shard registries; the
 /// front-of-house stages (`Decode`, `Gate`, `Drain`, `ResponseStep`)
 /// accumulate on the front registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -267,3 +267,48 @@ fn disabled_telemetry_still_answers_the_stats_frame() {
     let runtime = Arc::into_inner(runtime).expect("server released its runtime handle");
     runtime.shutdown();
 }
+
+#[test]
+fn batches_folded_by_sync_record_the_same_telemetry_as_worker_folds() {
+    // Paced rounds: after each submit the caller syncs right away, so most
+    // batches are folded on the syncing thread rather than by a worker
+    // that is still waking up. Whichever thread folds a batch must record
+    // its queue wait, score and detector-update spans and move the
+    // fold-time queue-depth gauge: one sample per folded batch.
+    let (engine, network, traffic, detector) = scenario();
+    let shards = 2;
+    let runtime = ServeRuntime::start(
+        engine.clone(),
+        ServeConfig::new(MetricKind::Diff, detector)
+            .with_shards(shards)
+            .with_queue_depth(4),
+    )
+    .expect("runtime starts");
+    let mut nodes = Vec::new();
+    let mut rows = lad::net::ObservationBatch::new(engine.knowledge().group_count());
+    let mut folded = 0u64;
+    for round in 0..24u64 {
+        std::thread::sleep(std::time::Duration::from_micros(500));
+        traffic.round_rows(&network, round % 8, &mut nodes, &mut rows);
+        runtime.submit_rows(round, &nodes, &rows);
+        runtime.sync();
+        // One batch per shard that received at least one report.
+        folded += (0..shards)
+            .filter(|&s| nodes.iter().any(|&n| lad::serve::shard_of(n, shards) == s))
+            .count() as u64;
+    }
+    let stats = runtime.stats();
+    assert_eq!(stats.counters.submitted, stats.counters.processed);
+    for stage in [Stage::QueueWait, Stage::Score, Stage::DetectorUpdate] {
+        assert_eq!(
+            stats.telemetry.stage(stage).count,
+            folded,
+            "{} samples vs batches folded",
+            stage.name()
+        );
+    }
+    // Every submitted batch has been folded, so each shard's last fold
+    // left its gauge at zero.
+    assert_eq!(stats.telemetry.shard_queue_depth, vec![0; shards]);
+    runtime.shutdown();
+}
