@@ -1,19 +1,19 @@
 //! Microbenchmarks of the hot kernels: g(z) evaluation, metric scoring,
 //! neighbourhood queries, MLE localization, greedy taint generation — and
-//! the engine's batched verification against the equivalent loop of
-//! single-shot `verify` calls (1 k and 100 k requests), which makes the
-//! batching win (µ computed once per estimate + parallel fan-out) visible in
-//! the perf trajectory.
+//! the engine's batched row verification against the equivalent loop of
+//! single-shot detector calls (1 k and 100 k reports), which makes the
+//! batching win (sparse µ computed once per estimate + parallel fan-out)
+//! visible in the perf trajectory.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lad_attack::{taint_observation, AttackClass};
-use lad_core::engine::{DetectionRequest, LadEngine};
-use lad_core::metrics::{score_all_fused, score_all_fused_sparse, score_all_fused_sparse_obs};
+use lad_core::engine::LadEngine;
+use lad_core::metrics::{score_all_fused, score_all_fused_sparse};
 use lad_core::{ExpectedObservation, LadDetector, MetricKind};
 use lad_deployment::{gz_exact, DeploymentConfig, DeploymentKnowledge, GzTable, SparseMu};
 use lad_geometry::Point2;
 use lad_localization::BeaconlessMle;
-use lad_net::{Network, NodeId, ObservationBatch};
+use lad_net::{Network, NodeId, Observation, ObservationBatch};
 
 fn bench_kernels(c: &mut Criterion) {
     let config = DeploymentConfig::small_test();
@@ -103,13 +103,6 @@ fn bench_kernels(c: &mut Criterion) {
             score_all_fused_sparse(black_box(paper_batch.row(0)), smu.view())
         })
     });
-    group.bench_function("fused_score_sparse_dense_obs_paper_scale", |b| {
-        let mut smu = SparseMu::new();
-        b.iter(|| {
-            paper_knowledge.expected_sparse_into(black_box(paper_at), &mut smu);
-            score_all_fused_sparse_obs(black_box(&paper_obs), smu.view())
-        })
-    });
     group.bench_function("expected_sparse_into_paper_scale", |b| {
         let mut smu = SparseMu::new();
         b.iter(|| {
@@ -165,35 +158,38 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Requests that cycle through the network's nodes, verifying each node's
+/// Reports that cycle through the network's nodes, verifying each node's
 /// clean observation at its own resident point (the metric-scoring cost is
-/// what matters, not whether the verdict alarms).
-fn make_requests(network: &Network, count: usize) -> Vec<DetectionRequest> {
-    (0..count)
-        .map(|i| {
-            let node = NodeId((i % network.node_count()) as u32);
-            DetectionRequest::new(
-                network.true_observation(node),
-                network.node(node).resident_point,
-            )
-        })
-        .collect()
+/// what matters, not whether the verdict alarms): the dense observations
+/// the single-shot loop scores, and the same reports as CSR rows.
+fn make_reports(network: &Network, count: usize) -> (Vec<Observation>, ObservationBatch) {
+    let mut observations = Vec::with_capacity(count);
+    let mut rows = ObservationBatch::new(network.group_count());
+    for i in 0..count {
+        let node = NodeId((i % network.node_count()) as u32);
+        let obs = network.true_observation(node);
+        rows.push(&obs, network.node(node).resident_point);
+        observations.push(obs);
+    }
+    (observations, rows)
 }
 
 /// The pre-engine verification path, producing output equivalent to
-/// `verify_batch`: for each request, each metric's single-shot detector
-/// recomputes (and re-allocates) µ(L_e) through `detect`.
+/// `verify_rows`: for each report, each metric's single-shot detector
+/// recomputes (and re-allocates) the dense µ(L_e) through `detect`.
 fn looped_verify(
     detectors: &[LadDetector],
     knowledge: &DeploymentKnowledge,
-    requests: &[DetectionRequest],
+    observations: &[Observation],
+    rows: &ObservationBatch,
 ) -> Vec<Vec<lad_core::Verdict>> {
-    requests
+    observations
         .iter()
-        .map(|request| {
+        .enumerate()
+        .map(|(r, obs)| {
             detectors
                 .iter()
-                .map(|d| d.detect(knowledge, &request.observation, request.estimate))
+                .map(|d| d.detect(knowledge, obs, rows.estimate(r)))
                 .collect()
         })
         .collect()
@@ -201,8 +197,8 @@ fn looped_verify(
 
 fn bench_engine_batch(c: &mut Criterion) {
     // Paper-scale deployment (10×10 groups): the per-estimate µ computation
-    // spans 100 groups, which is exactly the work `verify_batch` shares
-    // across metrics and the loop of single `verify` calls repeats per
+    // spans 100 groups, which is exactly the work `verify_rows` shares
+    // across metrics and the loop of single-shot detectors repeats per
     // metric.
     let config = DeploymentConfig::paper_default();
     // Explicit thresholds: the benchmark measures verification, not training.
@@ -220,39 +216,39 @@ fn bench_engine_batch(c: &mut Criterion) {
         .map(|&m| engine.detector(m))
         .collect();
 
-    let requests_100k = make_requests(&network, 100_000);
-    let requests_1k = requests_100k[..1_000].to_vec();
+    let (observations_100k, rows_100k) = make_reports(&network, 100_000);
+    let (observations_1k, rows_1k) = make_reports(&network, 1_000);
 
     let mut group = c.benchmark_group("engine_batch");
     group.sample_size(10);
-    group.bench_function("verify_batch_1k", |b| {
-        b.iter(|| engine.verify_batch(black_box(&requests_1k)))
+    group.bench_function("verify_rows_1k", |b| {
+        b.iter(|| engine.verify_rows(black_box(&rows_1k)))
     });
     group.bench_function("verify_loop_1k", |b| {
-        b.iter(|| looped_verify(&detectors, &knowledge, black_box(&requests_1k)))
-    });
-    group.bench_function("verify_batch_100k", |b| {
-        b.iter(|| engine.verify_batch(black_box(&requests_100k)))
-    });
-    group.bench_function("verify_loop_100k", |b| {
-        b.iter(|| looped_verify(&detectors, &knowledge, black_box(&requests_100k)))
-    });
-    group.bench_function("score_batch_100k", |b| {
-        b.iter(|| engine.score_batch(black_box(&requests_100k)))
-    });
-    // The flat entry points: dense requests vs CSR rows, scores written
-    // into one reused buffer (the serving ingest shape).
-    let mut rows_100k = ObservationBatch::new(knowledge.group_count());
-    for request in &requests_100k {
-        rows_100k.push(&request.observation, request.estimate);
-    }
-    group.bench_function("score_batch_into_100k", |b| {
-        let mut out = Vec::new();
         b.iter(|| {
-            engine.score_batch_into(black_box(&requests_100k), &mut out);
-            out.len()
+            looped_verify(
+                &detectors,
+                &knowledge,
+                black_box(&observations_1k),
+                &rows_1k,
+            )
         })
     });
+    group.bench_function("verify_rows_100k", |b| {
+        b.iter(|| engine.verify_rows(black_box(&rows_100k)))
+    });
+    group.bench_function("verify_loop_100k", |b| {
+        b.iter(|| {
+            looped_verify(
+                &detectors,
+                &knowledge,
+                black_box(&observations_100k),
+                &rows_100k,
+            )
+        })
+    });
+    // Scores only, written into one reused buffer (the serving ingest
+    // shape).
     group.bench_function("score_rows_into_100k", |b| {
         let mut out = Vec::new();
         b.iter(|| {

@@ -1,34 +1,35 @@
 //! `LadEngine` — the batched, pluggable, versioned detection engine.
 //!
-//! This is the front door for location verification. Where the deprecated
-//! [`LadPipeline`](crate::pipeline::LadPipeline) scored one `(observation,
-//! estimate)` pair against one hard-wired metric per call, the engine is
-//! built for serving volume:
+//! This is the front door for location verification:
 //!
-//! * **Batch-first** — [`LadEngine::verify_batch`] and
-//!   [`LadEngine::score_batch`] take a slice of [`DetectionRequest`]s and
-//!   fan the work out over Rayon. Results come back in request order, so
-//!   output is deterministic regardless of thread scheduling.
-//! * **One µ per estimate** — the expected observation `µ(L_e)` is computed
-//!   once per request into a per-thread scratch
-//!   [`ExpectedObservation`] buffer (no per-call allocation after warm-up)
-//!   and shared by *all* configured metrics through
-//!   [`DetectionMetric::score_from_expected`]. With the paper's three metrics
-//!   configured that alone removes two thirds of the hot-path work.
+//! * **One scoring surface** — every score comes from CSR observation rows
+//!   ([`ObservationBatch`]) merged against the sparse support of the
+//!   expected observation ([`MuView`]). [`LadEngine::score_rows_into`] and
+//!   [`LadEngine::verify_rows`] fan a batch out over Rayon and return
+//!   results in row order, so output is deterministic regardless of thread
+//!   scheduling. The `score_rows_seq_*` kernels score on the calling
+//!   thread (the serving shards' entry points), optionally memoizing µ
+//!   through a [`MuCache`]. [`LadEngine::verify`] is a one-row adapter over
+//!   the same per-row kernel.
+//! * **One µ per estimate** — the expected observation `µ(L_e)` is
+//!   enumerated once per row over its O(k) support into a per-thread
+//!   [`SparseMu`] scratch (no per-call allocation after warm-up) and shared
+//!   by *all* configured metrics; with exactly the paper's three metrics
+//!   they are scored in one fused pass.
 //! * **Pluggable** — any number of [`MetricKind`]s, any
 //!   [`LocalizationScheme`] as a trait object, thresholds from τ-percentile
 //!   training or supplied explicitly.
 //! * **Versioned artifacts** — [`LadEngine::to_json`] emits an
 //!   [`EngineArtifact`] with an explicit `version` field;
 //!   [`LadEngine::from_json`] rejects unknown versions with the typed
-//!   [`EngineError::UnsupportedVersion`] instead of a generic parse error,
-//!   and transparently migrates legacy `LadPipeline` JSON.
+//!   [`EngineError::UnsupportedVersion`] instead of a generic parse error.
 //!
 //! ```
-//! use lad_core::engine::{DetectionRequest, LadEngine};
+//! use lad_core::engine::LadEngine;
 //! use lad_core::MetricKind;
 //! use lad_core::TrainingConfig;
 //! use lad_deployment::DeploymentConfig;
+//! use lad_net::{Observation, ObservationBatch};
 //!
 //! let engine = LadEngine::builder()
 //!     .deployment(&DeploymentConfig::small_test())
@@ -38,17 +39,15 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let requests = vec![DetectionRequest::new(
-//!     lad_net::Observation::zeros(engine.knowledge().group_count()),
-//!     lad_geometry::Point2::new(200.0, 200.0),
-//! )];
-//! let verdicts = engine.verify_batch(&requests);
+//! let groups = engine.knowledge().group_count();
+//! let mut rows = ObservationBatch::new(groups);
+//! rows.push(&Observation::zeros(groups), lad_geometry::Point2::new(200.0, 200.0));
+//! let verdicts = engine.verify_rows(&rows);
 //! assert_eq!(verdicts.len(), 1);
 //! assert_eq!(verdicts[0].verdicts.len(), 3); // one per configured metric
 //! ```
 
 use crate::detector::{LadDetector, Verdict};
-use crate::expected::ExpectedObservation;
 use crate::metrics::{DetectionMetric, MetricKind};
 use crate::threshold::TrainedThresholds;
 use crate::training::{Trainer, TrainingConfig};
@@ -87,6 +86,10 @@ pub enum EngineError {
     },
     /// A threshold was requested for a metric with no training samples.
     UntrainedMetric(MetricKind),
+    /// An artifact's metric list is empty or names a metric twice. The
+    /// builder dedups its metrics and defaults to Diff, so only a
+    /// hand-written artifact can carry such a list.
+    InvalidMetrics(Vec<MetricKind>),
     /// The JSON could not be parsed into an artifact.
     Parse(String),
 }
@@ -111,6 +114,10 @@ impl fmt::Display for EngineError {
             EngineError::UntrainedMetric(kind) => {
                 write!(f, "metric {} has no training samples", kind.name())
             }
+            EngineError::InvalidMetrics(metrics) => write!(
+                f,
+                "artifact metric list {metrics:?} must be nonempty and name each metric once"
+            ),
             EngineError::Parse(msg) => write!(f, "artifact parse error: {msg}"),
         }
     }
@@ -118,26 +125,7 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// One unit of verification work: what a sensor submits to the engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DetectionRequest {
-    /// The sensor's observation `o`.
-    pub observation: Observation,
-    /// The location estimate `L_e` to verify.
-    pub estimate: Point2,
-}
-
-impl DetectionRequest {
-    /// Builds a request.
-    pub fn new(observation: Observation, estimate: Point2) -> Self {
-        Self {
-            observation,
-            estimate,
-        }
-    }
-}
-
-/// The engine's answer for one request: one [`Verdict`] per configured
+/// The engine's answer for one row: one [`Verdict`] per configured
 /// metric plus the overall alarm (any metric over threshold).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiVerdict {
@@ -251,8 +239,9 @@ impl LadEngineBuilder {
     }
 
     /// Builds a score-only engine: no training, no thresholds.
-    /// [`LadEngine::score_batch`] works; [`LadEngine::verify_batch`] panics.
-    /// This is what ROC sweeps and the evaluation harness use.
+    /// [`LadEngine::score_rows_into`] works; [`LadEngine::verify_rows`] and
+    /// [`LadEngine::verify`] panic. This is what ROC sweeps and the
+    /// evaluation harness use.
     pub fn score_only(mut self) -> Self {
         self.score_only = true;
         self
@@ -323,21 +312,11 @@ impl LadEngineBuilder {
     }
 }
 
-/// Per-thread reusable scoring buffers: the sparse µ fill target and the
-/// dense expected-observation buffer backing the non-fused legacy path.
-#[derive(Default)]
-struct EngineScratch {
-    /// Sparse µ fill target (every scoring path fills it per estimate).
-    smu: SparseMu,
-    /// Dense µ buffer; only backs the non-fused legacy path.
-    dense: ExpectedObservation,
-}
-
 thread_local! {
-    /// Per-thread µ scratch: `verify_batch`/`score_batch` fill this once per
-    /// request and hand it to every metric, so the hot path performs no
-    /// allocation after each worker thread's first request.
-    static MU_SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch::default());
+    /// Per-thread sparse µ fill target: the row-scoring paths fill it once
+    /// per row and hand it to every metric, so they perform no allocation
+    /// after each worker thread's first row.
+    static MU_SCRATCH: RefCell<SparseMu> = RefCell::new(SparseMu::default());
 }
 
 /// The batched, pluggable, versioned LAD detection engine.
@@ -350,7 +329,8 @@ pub struct LadEngine {
     scorers: Vec<Box<dyn DetectionMetric>>,
     /// True when the configured metrics are exactly `MetricKind::ALL` in
     /// order: scoring then takes the fused single-pass kernel
-    /// ([`crate::metrics::score_all_fused`]) instead of one pass per metric.
+    /// ([`crate::metrics::score_all_fused_sparse`]) instead of one pass per
+    /// metric.
     fused: bool,
     localizer: Arc<dyn LocalizationScheme>,
 }
@@ -454,78 +434,40 @@ impl LadEngine {
         let idx = self
             .metric_index(metric)
             .unwrap_or_else(|| panic!("metric {} is not configured", metric.name()));
-        assert!(
-            !self.artifact.thresholds.is_empty(),
-            "score-only engine has no thresholds; build with tau() or thresholds()"
-        );
+        self.assert_verifiable();
         LadDetector::new(metric, self.artifact.thresholds[idx])
     }
 
     // ---- the hot path ------------------------------------------------------
 
-    /// Validates a batch's observation lengths once, at the boundary, so
-    /// the per-score kernels can run on `debug_assert!`s only.
-    ///
-    /// # Panics
-    /// Panics when any request's observation is over a different number of
-    /// groups than the engine's deployment.
-    fn validate_requests(&self, requests: &[DetectionRequest]) {
-        let n = self.knowledge.group_count();
-        if let Some(bad) = requests
-            .iter()
-            .position(|r| r.observation.group_count() != n)
-        {
-            panic!(
-                "request {bad}: observation spans {} groups, engine deployment has {n}",
-                requests[bad].observation.group_count()
-            );
-        }
+    /// Panics unless the engine has operating thresholds.
+    fn assert_verifiable(&self) {
+        assert!(
+            !self.artifact.thresholds.is_empty(),
+            "score-only engine has no thresholds; build with tau() or thresholds()"
+        );
     }
 
-    /// Computes the verdict for one request against a caller-supplied µ
-    /// scratch buffer (filled in place — no allocation besides the output).
-    fn verdict_with(
-        &self,
-        scratch: &mut EngineScratch,
-        observation: &Observation,
-        estimate: Point2,
-    ) -> MultiVerdict {
-        let mut verdicts = Vec::with_capacity(self.scorers.len());
+    /// Applies the operating thresholds to one row's scores (one per
+    /// configured metric, in [`Self::metrics`] order).
+    fn verdict(&self, estimate: Point2, scores: &[f64]) -> MultiVerdict {
         let mut anomalous = false;
-        if self.fused {
-            // Sparse fused kernel: fill the O(k) µ support once, then score
-            // all three metrics in a single merged pass over the support and
-            // the observation's nonzeros (bit-identical to the dense pass).
-            let smu = &mut scratch.smu;
-            self.knowledge.expected_sparse_into(estimate, smu);
-            let scores = crate::metrics::score_all_fused_sparse_obs(observation, smu.view());
-            for (i, (&score, &threshold)) in
-                scores.iter().zip(&self.artifact.thresholds).enumerate()
-            {
+        let verdicts = self
+            .artifact
+            .metrics
+            .iter()
+            .zip(scores.iter().zip(&self.artifact.thresholds))
+            .map(|(&metric, (&score, &threshold))| {
                 let alarm = score > threshold;
                 anomalous |= alarm;
-                verdicts.push(Verdict {
-                    metric: MetricKind::ALL[i],
+                Verdict {
+                    metric,
                     score,
                     threshold,
                     anomalous: alarm,
-                });
-            }
-        } else {
-            let expected = &mut scratch.dense;
-            expected.fill(&self.knowledge, estimate);
-            for (scorer, &threshold) in self.scorers.iter().zip(&self.artifact.thresholds) {
-                let score = scorer.score_from_expected(expected, observation);
-                let alarm = score > threshold;
-                anomalous |= alarm;
-                verdicts.push(Verdict {
-                    metric: scorer.kind(),
-                    score,
-                    threshold,
-                    anomalous: alarm,
-                });
-            }
-        }
+                }
+            })
+            .collect();
         MultiVerdict {
             estimate,
             verdicts,
@@ -533,142 +475,43 @@ impl LadEngine {
         }
     }
 
-    /// Computes the per-metric scores for one request against a
-    /// caller-supplied µ scratch buffer, writing them into `out` (one slot
-    /// per configured metric) — the allocation-free core of every scoring
-    /// path.
-    fn scores_with_into(
-        &self,
-        scratch: &mut EngineScratch,
-        observation: &Observation,
-        estimate: Point2,
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(out.len(), self.scorers.len());
-        if self.fused {
-            let smu = &mut scratch.smu;
-            self.knowledge.expected_sparse_into(estimate, smu);
-            let scores = crate::metrics::score_all_fused_sparse_obs(observation, smu.view());
-            out.copy_from_slice(&scores);
-        } else {
-            let expected = &mut scratch.dense;
-            expected.fill(&self.knowledge, estimate);
-            for (slot, scorer) in out.iter_mut().zip(&self.scorers) {
-                *slot = scorer.score_from_expected(expected, observation);
-            }
-        }
-    }
-
-    /// Computes the per-metric scores for one request against a
-    /// caller-supplied µ scratch buffer.
-    fn scores_with(
-        &self,
-        scratch: &mut EngineScratch,
-        observation: &Observation,
-        estimate: Point2,
-    ) -> Vec<f64> {
-        let mut out = vec![0.0; self.scorers.len()];
-        self.scores_with_into(scratch, observation, estimate, &mut out);
-        out
-    }
-
     /// Verifies one `(observation, estimate)` pair against every configured
-    /// metric. `µ(L_e)` is computed once and shared by all metrics.
+    /// metric: a one-row adapter over the same per-row kernel as
+    /// [`Self::score_rows_into`], so its verdict equals the matching row of
+    /// [`Self::verify_rows`] bit for bit.
     ///
     /// # Panics
-    /// Panics on a score-only engine (no thresholds to compare against).
+    /// Panics on a score-only engine (no thresholds to compare against) or
+    /// when the observation spans a different number of groups than the
+    /// engine's deployment.
     pub fn verify(&self, observation: &Observation, estimate: Point2) -> MultiVerdict {
-        assert!(
-            !self.artifact.thresholds.is_empty(),
-            "score-only engine has no thresholds; build with tau() or thresholds()"
-        );
-        assert_eq!(
-            observation.group_count(),
-            self.knowledge.group_count(),
-            "observation/deployment group-count mismatch"
-        );
-        MU_SCRATCH.with(|cell| self.verdict_with(&mut cell.borrow_mut(), observation, estimate))
+        self.assert_verifiable();
+        let mut row = ObservationBatch::new(observation.group_count());
+        row.push(observation, estimate);
+        let mut scores = vec![0.0; self.scorers.len()];
+        self.score_rows_range_into(&row, 0..1, &mut scores);
+        self.verdict(estimate, &scores)
     }
 
-    /// Verifies a batch of requests in parallel (chunks sized by an internal
-    /// per-core heuristic fan out over worker threads; each chunk
-    /// borrows its thread's µ scratch once). Results are returned in request
-    /// order, so output is deterministic regardless of scheduling.
-    pub fn verify_batch(&self, requests: &[DetectionRequest]) -> Vec<MultiVerdict> {
-        assert!(
-            !self.artifact.thresholds.is_empty(),
-            "score-only engine has no thresholds; build with tau() or thresholds()"
-        );
-        self.validate_requests(requests);
-        let chunks: Vec<&[DetectionRequest]> = requests
-            .chunks(Self::batch_chunk_size(requests.len()))
-            .collect();
-        chunks
-            .par_iter()
-            .flat_map(|chunk| {
-                MU_SCRATCH.with(|cell| {
-                    let expected = &mut *cell.borrow_mut();
-                    chunk
-                        .iter()
-                        .map(|r| self.verdict_with(expected, &r.observation, r.estimate))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect()
-    }
-
-    /// Raw anomaly scores for one request — one entry per configured metric,
-    /// in [`Self::metrics`] order — without thresholding. `µ(L_e)` is
-    /// computed once and shared by all metrics.
-    pub fn score(&self, observation: &Observation, estimate: Point2) -> Vec<f64> {
-        assert_eq!(
-            observation.group_count(),
-            self.knowledge.group_count(),
-            "observation/deployment group-count mismatch"
-        );
-        MU_SCRATCH.with(|cell| self.scores_with(&mut cell.borrow_mut(), observation, estimate))
-    }
-
-    /// Raw anomaly scores for a batch of requests, in request order. This is
-    /// the entry point for ROC sweeps: collect scores once, then sweep
-    /// thresholds offline.
-    pub fn score_batch(&self, requests: &[DetectionRequest]) -> Vec<Vec<f64>> {
-        self.validate_requests(requests);
-        let chunks: Vec<&[DetectionRequest]> = requests
-            .chunks(Self::batch_chunk_size(requests.len()))
-            .collect();
-        chunks
-            .par_iter()
-            .flat_map(|chunk| {
-                MU_SCRATCH.with(|cell| {
-                    let expected = &mut *cell.borrow_mut();
-                    chunk
-                        .iter()
-                        .map(|r| self.scores_with(expected, &r.observation, r.estimate))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect()
-    }
-
-    /// Raw anomaly scores for a batch of requests, written into a flat
-    /// caller-owned buffer: row-major, `self.metrics().len()` scores per
-    /// request, in request order. The buffer is cleared and resized to
-    /// exactly `requests.len() * metrics.len()`.
+    /// Verifies every row of a CSR batch against every configured metric,
+    /// in row order: [`Self::score_rows_into`] followed by the operating
+    /// thresholds.
     ///
-    /// This is the zero-garbage sibling of [`Self::score_batch`]: where
-    /// `score_batch` allocates an inner `Vec<f64>` per request (a hot-path
-    /// cost when a serving loop scores millions of requests per second),
-    /// this writes every score into one flat allocation the caller reuses
-    /// across batches. The work fans out over the same chunked Rayon pool,
-    /// each worker writing its chunk's disjoint output range in place.
-    pub fn score_batch_into(&self, requests: &[DetectionRequest], out: &mut Vec<f64>) {
-        Self::par_fill_rows(requests.len(), self.scorers.len(), out, |range, rows| {
-            self.score_seq_into(&requests[range], rows)
-        });
+    /// # Panics
+    /// Panics on a score-only engine or when the batch's group count
+    /// differs from the engine's deployment.
+    pub fn verify_rows(&self, batch: &ObservationBatch) -> Vec<MultiVerdict> {
+        self.assert_verifiable();
+        let mut scores = Vec::new();
+        self.score_rows_into(batch, &mut scores);
+        scores
+            .chunks_exact(self.scorers.len())
+            .enumerate()
+            .map(|(r, row)| self.verdict(batch.estimate(r), row))
+            .collect()
     }
 
-    /// The shared parallel fan-out of the flat scoring entry points: sizes
+    /// The parallel fan-out of [`Self::score_rows_into`]: sizes
     /// `out` to `len * width`, splits `0..len` into the usual chunks, and
     /// has `fill(range, rows)` write each chunk's disjoint output range in
     /// place from a worker thread.
@@ -706,45 +549,18 @@ impl LadEngine {
         });
     }
 
-    /// Scores `requests` sequentially on the calling thread into `out`
-    /// (row-major, `self.metrics().len()` scores per request; `out` must be
-    /// exactly `requests.len() * metrics.len()` long).
-    ///
-    /// This is the building block of [`Self::score_batch_into`]: no
-    /// allocation beyond the thread's µ scratch, no nested thread pool.
-    ///
-    /// # Panics
-    /// Panics when `out.len() != requests.len() * self.metrics().len()`.
-    pub fn score_seq_into(&self, requests: &[DetectionRequest], out: &mut [f64]) {
-        let width = self.scorers.len();
-        assert_eq!(
-            out.len(),
-            requests.len() * width,
-            "output buffer must hold {} scores per request",
-            width
-        );
-        self.validate_requests(requests);
-        MU_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            for (req, row) in requests.iter().zip(out.chunks_exact_mut(width)) {
-                self.scores_with_into(scratch, &req.observation, req.estimate, row);
-            }
-        });
-    }
-
     /// Raw anomaly scores for a CSR observation batch, written into a flat
     /// caller-owned buffer: row-major, `self.metrics().len()` scores per
     /// row, in row order. The buffer is cleared and resized to exactly
     /// `batch.len() * metrics.len()`.
     ///
-    /// This is the fully sparse sibling of [`Self::score_batch_into`]:
-    /// the batch stores only observation nonzeros (no per-report
+    /// The batch stores only observation nonzeros (no per-report
     /// `Observation` heap objects), the expected observation is enumerated
     /// over its O(k) support, and the fused kernel merges the two sparse
-    /// sides directly. Scores are bit-identical to the dense entry points.
-    /// The work fans out over the same chunked Rayon pool as
-    /// [`Self::score_batch_into`], each worker writing its chunk's disjoint
-    /// output range in place.
+    /// sides directly. Scores are bit-identical to the dense metric kernels
+    /// (`tests/sparse_exactness.rs`). The work fans out over Rayon in
+    /// chunks, each worker borrowing its thread's µ scratch once and
+    /// writing its chunk's disjoint output range in place.
     ///
     /// # Panics
     /// Panics when the batch's group count differs from the engine's
@@ -778,7 +594,7 @@ impl LadEngine {
             "output buffer must hold {width} scores per row"
         );
         MU_SCRATCH.with(|cell| {
-            let smu = &mut cell.borrow_mut().smu;
+            let smu = &mut *cell.borrow_mut();
             for (r, row_out) in range.zip(out.chunks_exact_mut(width)) {
                 self.knowledge.expected_sparse_into(batch.estimate(r), smu);
                 self.score_row_into(batch.row(r), smu.view(), row_out);
@@ -877,8 +693,7 @@ impl LadEngine {
         );
         let scorer = &self.scorers[idx];
         MU_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let smu = &mut scratch.smu;
+            let smu = &mut *cell.borrow_mut();
             for (r, slot) in out.iter_mut().enumerate() {
                 self.knowledge.expected_sparse_into(batch.estimate(r), smu);
                 *slot = scorer.score_sparse(batch.row(r), smu.view());
@@ -922,11 +737,11 @@ impl LadEngine {
             });
     }
 
-    /// Upper bound on the number of requests each worker-thread chunk
+    /// Upper bound on the number of rows each worker-thread chunk
     /// processes between scratch borrows.
     pub const MAX_BATCH_CHUNK: usize = 512;
 
-    /// Chunk size for a batch of `len` requests: small enough that every
+    /// Chunk size for a batch of `len` rows: small enough that every
     /// core gets several chunks (so mid-size batches still use the whole
     /// machine), capped at [`Self::MAX_BATCH_CHUNK`] so per-chunk scratch
     /// amortisation stays effective on huge batches.
@@ -976,64 +791,23 @@ impl LadEngine {
 
     /// Restores an engine from [`Self::to_json`] output, rebuilding the
     /// deployment knowledge (g(z) table included) from the stored config.
-    ///
-    /// Accepts two formats:
-    ///
-    /// * a versioned [`EngineArtifact`] — versions other than
-    ///   [`ARTIFACT_VERSION`] are rejected with
-    ///   [`EngineError::UnsupportedVersion`];
-    /// * legacy (pre-engine) `LadPipeline` JSON, recognised by its `metric`
-    ///   field and absence of `version`, which is migrated in place.
+    /// Versions other than [`ARTIFACT_VERSION`] are rejected with
+    /// [`EngineError::UnsupportedVersion`]; JSON without a `version` field
+    /// is not an engine artifact and fails with [`EngineError::Parse`].
     pub fn from_json(json: &str) -> Result<Self, EngineError> {
         let value = serde_json::parse_value(json).map_err(|e| EngineError::Parse(e.to_string()))?;
-        let artifact = match value.get("version") {
-            Some(version) => {
-                let found = version
-                    .as_u64()
-                    .ok_or_else(|| EngineError::Parse("`version` must be an integer".into()))?;
-                if found != ARTIFACT_VERSION as u64 {
-                    return Err(EngineError::UnsupportedVersion { found });
-                }
-                serde_json::from_value::<EngineArtifact>(&value)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?
-            }
-            None if value.get("metric").is_some() => {
-                // Legacy PipelineArtifact { deployment, training, trained,
-                // metric, tau }: migrate to a single-metric engine artifact.
-                let get = |field: &str| {
-                    value.get(field).ok_or_else(|| {
-                        EngineError::Parse(format!("legacy artifact is missing `{field}`"))
-                    })
-                };
-                let deployment: DeploymentConfig = serde_json::from_value(get("deployment")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let training: TrainingConfig = serde_json::from_value(get("training")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let trained: TrainedThresholds = serde_json::from_value(get("trained")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let metric: MetricKind = serde_json::from_value(get("metric")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let tau: f64 = serde_json::from_value(get("tau")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let threshold = trained
-                    .threshold(metric, tau)
-                    .ok_or(EngineError::UntrainedMetric(metric))?;
-                EngineArtifact {
-                    version: ARTIFACT_VERSION,
-                    deployment,
-                    training,
-                    trained,
-                    metrics: vec![metric],
-                    thresholds: vec![threshold],
-                    tau: Some(tau),
-                }
-            }
-            None => {
-                return Err(EngineError::Parse(
-                    "not a LAD engine artifact (no `version` field)".into(),
-                ))
-            }
-        };
+        let found = value
+            .get("version")
+            .ok_or_else(|| {
+                EngineError::Parse("not a LAD engine artifact (no `version` field)".into())
+            })?
+            .as_u64()
+            .ok_or_else(|| EngineError::Parse("`version` must be an integer".into()))?;
+        if found != ARTIFACT_VERSION as u64 {
+            return Err(EngineError::UnsupportedVersion { found });
+        }
+        let artifact = serde_json::from_value::<EngineArtifact>(&value)
+            .map_err(|e| EngineError::Parse(e.to_string()))?;
         Self::from_artifact(artifact)
     }
 
@@ -1043,6 +817,15 @@ impl LadEngine {
             return Err(EngineError::UnsupportedVersion {
                 found: artifact.version as u64,
             });
+        }
+        let metrics = &artifact.metrics;
+        if metrics.is_empty()
+            || metrics
+                .iter()
+                .enumerate()
+                .any(|(i, m)| metrics[..i].contains(m))
+        {
+            return Err(EngineError::InvalidMetrics(metrics.clone()));
         }
         if !artifact.thresholds.is_empty() && artifact.thresholds.len() != artifact.metrics.len() {
             return Err(EngineError::MismatchedThresholds {
@@ -1114,21 +897,23 @@ mod tests {
     }
 
     #[test]
-    fn verify_batch_matches_sequential_verify() {
+    fn verify_rows_matches_one_row_verify() {
         let engine = engine();
         let network = Network::generate(engine.knowledge().clone(), 123);
-        let requests: Vec<DetectionRequest> = (0..40u32)
-            .filter_map(|i| {
-                let node = NodeId(i * 7);
-                let obs = network.true_observation(node);
-                let estimate = engine.localizer().estimate(engine.knowledge(), &obs)?;
-                Some(DetectionRequest::new(obs, estimate))
-            })
-            .collect();
-        assert!(requests.len() > 20);
-        let batched = engine.verify_batch(&requests);
-        for (req, verdict) in requests.iter().zip(&batched) {
-            assert_eq!(*verdict, engine.verify(&req.observation, req.estimate));
+        let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+        let mut observations = Vec::new();
+        for i in 0..40u32 {
+            let obs = network.true_observation(NodeId(i * 7));
+            if let Some(estimate) = engine.localizer().estimate(engine.knowledge(), &obs) {
+                rows.push(&obs, estimate);
+                observations.push(obs);
+            }
+        }
+        assert!(rows.len() > 20);
+        let batched = engine.verify_rows(&rows);
+        assert_eq!(batched.len(), rows.len());
+        for (r, (obs, verdict)) in observations.iter().zip(&batched).enumerate() {
+            assert_eq!(*verdict, engine.verify(obs, rows.estimate(r)));
             assert_eq!(verdict.verdicts.len(), 3);
             assert_eq!(
                 verdict.anomalous,
@@ -1162,50 +947,50 @@ mod tests {
     }
 
     #[test]
-    fn score_batch_matches_per_metric_score_at() {
+    fn score_rows_into_matches_per_metric_score_at() {
         let engine = engine();
         let knowledge = engine.knowledge();
         let obs = Observation::from_counts(vec![2; knowledge.group_count()]);
         let at = Point2::new(150.0, 220.0);
-        let batch = engine.score_batch(&[DetectionRequest::new(obs.clone(), at)]);
-        assert_eq!(batch.len(), 1);
+        let mut rows = ObservationBatch::new(knowledge.group_count());
+        rows.push(&obs, at);
+        let mut scores = Vec::new();
+        engine.score_rows_into(&rows, &mut scores);
+        assert_eq!(scores.len(), 3);
         for (i, kind) in MetricKind::ALL.into_iter().enumerate() {
             let single = kind.metric().score_at(knowledge, &obs, at);
             assert!(
-                (batch[0][i] - single).abs() < 1e-12,
+                (scores[i] - single).abs() < 1e-12,
                 "{}: batched {} vs single {single}",
                 kind.name(),
-                batch[0][i]
+                scores[i]
             );
         }
     }
 
     #[test]
-    fn score_batch_into_matches_score_batch_row_by_row() {
+    fn score_rows_into_matches_one_row_batches_row_by_row() {
         let engine = engine();
         let network = Network::generate(engine.knowledge().clone(), 77);
-        let requests: Vec<DetectionRequest> = (0..700u32)
-            .map(|i| {
-                let node = NodeId(i % network.node_count() as u32);
-                let obs = network.true_observation(node);
-                let at = Point2::new(20.0 + (i as f64 * 7.3) % 400.0, (i as f64 * 11.9) % 400.0);
-                DetectionRequest::new(obs, at)
-            })
-            .collect();
-        let nested = engine.score_batch(&requests);
-        let mut flat = vec![42.0; 3]; // pre-existing garbage must be cleared
-        engine.score_batch_into(&requests, &mut flat);
-        assert_eq!(flat.len(), requests.len() * engine.metrics().len());
-        for (row, nested_row) in flat.chunks(engine.metrics().len()).zip(&nested) {
-            assert_eq!(row, nested_row.as_slice());
+        let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+        for i in 0..700u32 {
+            let obs = network.true_observation(NodeId(i % network.node_count() as u32));
+            let at = Point2::new(20.0 + (i as f64 * 7.3) % 400.0, (i as f64 * 11.9) % 400.0);
+            rows.push(&obs, at);
         }
-        // The sequential primitive produces the same rows.
-        let mut seq = vec![0.0; requests.len() * engine.metrics().len()];
-        engine.score_seq_into(&requests, &mut seq);
-        assert_eq!(seq, flat);
-        // Empty batches leave an empty buffer.
-        engine.score_batch_into(&[], &mut flat);
-        assert!(flat.is_empty());
+        let width = engine.metrics().len();
+        let mut flat = vec![42.0; 3]; // pre-existing garbage must be cleared
+        engine.score_rows_into(&rows, &mut flat);
+        assert_eq!(flat.len(), rows.len() * width);
+        // Every parallel chunk scores exactly as the row does on its own.
+        let mut one = ObservationBatch::new(rows.group_count());
+        let mut single = Vec::new();
+        for (r, row_scores) in flat.chunks_exact(width).enumerate() {
+            one.clear();
+            one.push_row(&rows, r);
+            engine.score_rows_into(&one, &mut single);
+            assert_eq!(row_scores, single.as_slice(), "row {r}");
+        }
     }
 
     #[test]
@@ -1217,12 +1002,24 @@ mod tests {
             .build()
             .unwrap();
         let obs = Observation::zeros(engine.knowledge().group_count());
-        let scores = engine.score(&obs, Point2::new(100.0, 100.0));
+        let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+        rows.push(&obs, Point2::new(100.0, 100.0));
+        let mut scores = Vec::new();
+        engine.score_rows_into(&rows, &mut scores);
         assert_eq!(scores.len(), 3);
+        // Empty batches leave an empty buffer.
+        engine.score_rows_into(&ObservationBatch::new(rows.group_count()), &mut scores);
+        assert!(scores.is_empty());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.verify(&obs, Point2::new(100.0, 100.0))
         }));
         assert!(result.is_err(), "verify on a score-only engine must panic");
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.verify_rows(&rows)));
+        assert!(
+            result.is_err(),
+            "verify_rows on a score-only engine must panic"
+        );
     }
 
     #[test]

@@ -14,13 +14,12 @@ pub fn expected_observation(knowledge: &DeploymentKnowledge, location: Point2) -
     knowledge.expected_observation(location)
 }
 
-/// A reusable expected observation `µ(L_e)` paired with the group size `m`.
-///
-/// This is the currency of the batched detection hot path: the engine
-/// computes `µ` **once per estimate** into a per-thread scratch
-/// `ExpectedObservation` (no allocation after warm-up) and hands the same
-/// buffer to every configured metric through
+/// A reusable dense expected observation `µ(L_e)` paired with the group
+/// size `m`: fill it once per estimate (no allocation after warm-up) and
+/// hand the same buffer to every metric through
 /// [`DetectionMetric::score_from_expected`](crate::metrics::DetectionMetric::score_from_expected).
+/// The engine scores the sparse support instead; this dense form backs the
+/// kernel benchmarks and the dense baseline of `bench_snapshot`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExpectedObservation {
     mu: Vec<f64>,

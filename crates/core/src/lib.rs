@@ -13,19 +13,18 @@
 //!
 //! Thresholds are obtained by τ-percentile training on clean simulated
 //! deployments ([`training`]). The front door is [`engine::LadEngine`]: a
-//! batched, multi-metric detection engine that computes `µ(L_e)` once per
-//! estimate, fans batches out over worker threads, accepts any localization
-//! scheme as a trait object, and serialises to versioned artifacts.
-//!
-//! (The older single-shot [`pipeline::LadPipeline`] is deprecated and now
-//! delegates to the engine.)
+//! batched, multi-metric detection engine that scores CSR observation rows
+//! ([`lad_net::ObservationBatch`]) against the sparse support of `µ(L_e)`,
+//! computed once per estimate, fans batches out over worker threads,
+//! accepts any localization scheme as a trait object, and serialises to
+//! versioned artifacts.
 //!
 //! # Quick example
 //!
 //! ```
 //! use lad_core::prelude::*;
 //! use lad_deployment::DeploymentConfig;
-//! use lad_net::Network;
+//! use lad_net::{Network, ObservationBatch};
 //!
 //! // Small deployment for the doc test; the paper uses 10×10 groups of 300.
 //! // Fit an engine offline: train all three metrics at the 99th percentile.
@@ -42,19 +41,18 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! // Online phase: verify a batch of (observation, estimate) pairs. µ(L_e)
+//! // Online phase: verify a batch of (observation, estimate) rows. µ(L_e)
 //! // is computed once per estimate and shared by all three metrics.
 //! let network = Network::generate(engine.knowledge().clone(), 42);
-//! let requests: Vec<DetectionRequest> = (0..20u32)
-//!     .filter_map(|i| {
-//!         let node = lad_net::NodeId(i * 11);
-//!         let obs = network.true_observation(node);
-//!         let estimate = engine.localizer().estimate(engine.knowledge(), &obs)?;
-//!         Some(DetectionRequest::new(obs, estimate))
-//!     })
-//!     .collect();
-//! let verdicts = engine.verify_batch(&requests);
-//! assert_eq!(verdicts.len(), requests.len());
+//! let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+//! for i in 0..20u32 {
+//!     let obs = network.true_observation(lad_net::NodeId(i * 11));
+//!     if let Some(estimate) = engine.localizer().estimate(engine.knowledge(), &obs) {
+//!         rows.push(&obs, estimate);
+//!     }
+//! }
+//! let verdicts = engine.verify_rows(&rows);
+//! assert_eq!(verdicts.len(), rows.len());
 //! // Honest nodes rarely alarm at tau = 0.99.
 //! let alarms = verdicts.iter().filter(|v| v.anomalous).count();
 //! assert!(alarms * 4 < verdicts.len());
@@ -67,19 +65,15 @@ pub mod detector;
 pub mod engine;
 pub mod expected;
 pub mod metrics;
-pub mod pipeline;
 pub mod threshold;
 pub mod training;
 
 pub use detector::{LadDetector, Verdict};
 pub use engine::{
-    DetectionRequest, EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme,
-    MultiVerdict,
+    EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme, MultiVerdict,
 };
 pub use expected::ExpectedObservation;
 pub use metrics::{AddAllMetric, DetectionMetric, DiffMetric, MetricKind, ProbabilityMetric};
-#[allow(deprecated)]
-pub use pipeline::LadPipeline;
 pub use threshold::TrainedThresholds;
 pub use training::{Trainer, TrainingConfig};
 
@@ -87,15 +81,12 @@ pub use training::{Trainer, TrainingConfig};
 pub mod prelude {
     pub use crate::detector::{LadDetector, Verdict};
     pub use crate::engine::{
-        DetectionRequest, EngineArtifact, EngineError, LadEngine, LadEngineBuilder,
-        LocalizationScheme, MultiVerdict,
+        EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme, MultiVerdict,
     };
     pub use crate::expected::ExpectedObservation;
     pub use crate::metrics::{
         AddAllMetric, DetectionMetric, DiffMetric, MetricKind, ProbabilityMetric,
     };
-    #[allow(deprecated)]
-    pub use crate::pipeline::LadPipeline;
     pub use crate::threshold::TrainedThresholds;
     pub use crate::training::{Trainer, TrainingConfig};
 }

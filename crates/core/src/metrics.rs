@@ -62,11 +62,10 @@ pub trait DetectionMetric: Send + Sync {
     /// `mu`, where `group_size` is the per-group node count `m`.
     fn score(&self, obs: &Observation, mu: &[f64], group_size: usize) -> f64;
 
-    /// Scores `obs` against a pre-computed expected observation.
-    ///
-    /// This is the batched hot-path entry point: `µ(L_e)` is computed once
-    /// per estimate (see [`ExpectedObservation`]) and shared by every metric,
-    /// instead of being recomputed per metric as [`Self::score_at`] does.
+    /// Scores `obs` against a pre-computed dense expected observation:
+    /// `µ(L_e)` is computed once per estimate (see [`ExpectedObservation`])
+    /// and shared by every metric, instead of being recomputed per metric
+    /// as [`Self::score_at`] does.
     fn score_from_expected(&self, expected: &ExpectedObservation, obs: &Observation) -> f64 {
         self.score(obs, expected.mu(), expected.group_size())
     }
@@ -389,9 +388,9 @@ impl TabledLnPmf {
 /// Returns `[DM, AM, −ln min Pr]` in [`MetricKind::ALL`] order,
 /// **bit-identical** to running [`DiffMetric`], [`AddAllMetric`] and
 /// [`ProbabilityMetric`] separately (same accumulation order per metric).
-/// The batched engine uses this when configured with exactly the three
-/// built-in metrics: the observation and the expected observation are then
-/// loaded once per request instead of once per metric.
+/// This dense O(n) pass is the reference the sparse
+/// [`score_all_fused_sparse`] is proven against; every production path
+/// scores through the sparse kernel.
 pub fn score_all_fused(obs: &Observation, mu: &[f64], group_size: usize) -> [f64; 3] {
     // Hot loop: lengths are validated once per batch at the engine boundary
     // (and by `ObservationBatch::push`), not per score.
@@ -479,79 +478,6 @@ pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: MuView<'_>) -> [f64; 3] {
     let mut min_ln_p = 0.0f64;
     let mut si = 0usize;
     for (&g, &o) in og.iter().zip(oc) {
-        while si < sg.len() && sg[si] < g {
-            si += 1;
-        }
-        let mui = if si < sg.len() && sg[si] == g {
-            sv[si]
-        } else {
-            0.0
-        };
-        let ln_p = pmf.eval(o, mui);
-        if ln_p < min_ln_p {
-            min_ln_p = ln_p;
-        }
-    }
-    let min_ln_p = zero_obs.fold_into(&pmf, min_ln_p);
-    [dm, am, (-min_ln_p).min(NEG_LN_FLOOR)]
-}
-
-/// [`score_all_fused_sparse`] for a **dense** observation: the sparse µ
-/// support bounds the float work at O(k) while the observation nonzeros are
-/// found with a cheap integer scan. Bit-identical to [`score_all_fused`].
-///
-/// This is what the engine's `DetectionRequest` entry points run; batch
-/// ingestion via [`lad_net::ObservationBatch`] uses
-/// [`score_all_fused_sparse`] and skips the scan too.
-pub fn score_all_fused_sparse_obs(obs: &Observation, mu: MuView<'_>) -> [f64; 3] {
-    let counts = obs.counts();
-    let (sg, sv) = support(mu);
-
-    // Pass 1 — Diff/Add-all (cheap ops only), as in the CSR variant but
-    // scanning the dense counts for nonzeros.
-    let mut dm = 0.0f64;
-    let mut am = 0.0f64;
-    let mut zero_obs = ZeroObsMin::new();
-    let mut i = 0usize;
-    for (&g, &mui) in sg.iter().zip(sv) {
-        let g = g as usize;
-        while i < g {
-            let o = counts[i];
-            if o != 0 {
-                let of = o as f64;
-                dm += of;
-                am += of;
-            }
-            i += 1;
-        }
-        let o = counts[g];
-        let of = o as f64;
-        dm += (of - mui).abs();
-        am += of.max(mui);
-        if o == 0 {
-            zero_obs.see(mui);
-        }
-        i = g + 1;
-    }
-    while i < counts.len() {
-        let o = counts[i];
-        if o != 0 {
-            let of = o as f64;
-            dm += of;
-            am += of;
-        }
-        i += 1;
-    }
-
-    // Pass 2 — probability over the observation nonzeros.
-    let pmf = TabledLnPmf::new(mu.group_size());
-    let mut min_ln_p = 0.0f64;
-    let mut si = 0usize;
-    for (g, &o) in counts.iter().enumerate() {
-        if o == 0 {
-            continue;
-        }
-        let g = g as u32;
         while si < sg.len() && sg[si] < g {
             si += 1;
         }

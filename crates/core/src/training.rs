@@ -13,12 +13,11 @@
 //! the master seed); [`TrainedThresholds`] implements step 4 lazily so τ can
 //! be swept without retraining.
 
-use crate::expected::ExpectedObservation;
-use crate::metrics::{score_all_fused, MetricKind};
+use crate::metrics::{score_all_fused_sparse, MetricKind};
 use crate::threshold::TrainedThresholds;
-use lad_deployment::DeploymentKnowledge;
+use lad_deployment::{DeploymentKnowledge, SparseMu};
 use lad_localization::BeaconlessMle;
-use lad_net::{Network, NodeId};
+use lad_net::{Network, NodeId, ObservationBatch};
 use lad_stats::seeds::derive_seed;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -26,10 +25,17 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// Per-thread training-sample scoring scratch: the sparse µ(L_e) fill
+/// target and the one-row batch the sample's observation is copied into.
+#[derive(Default)]
+struct SampleScratch {
+    mu: SparseMu,
+    row: ObservationBatch,
+}
+
 thread_local! {
-    /// Per-thread µ(L_e) scratch for training-sample scoring.
-    static MU_SCRATCH: std::cell::RefCell<ExpectedObservation> =
-        std::cell::RefCell::new(ExpectedObservation::new());
+    static SCRATCH: std::cell::RefCell<SampleScratch> =
+        std::cell::RefCell::new(SampleScratch::default());
 }
 
 /// Parameters of the training procedure.
@@ -97,11 +103,12 @@ impl Trainer {
                     .map(|_| NodeId(rng.gen_range(0..network.node_count() as u32)))
                     .collect();
                 // Samples stay parallel within a network; each worker
-                // thread reuses one µ scratch, so the per-sample work is a
-                // fill + one fused pass with no allocation.
+                // thread reuses one scratch, so the per-sample scoring is a
+                // row copy, a sparse µ fill and one fused pass with no
+                // allocation.
                 ids.into_par_iter()
                     .filter_map(|id| {
-                        MU_SCRATCH.with(|cell| {
+                        SCRATCH.with(|cell| {
                             sample_node(&network, id, &cfg.localizer, &mut cell.borrow_mut())
                         })
                     })
@@ -125,15 +132,18 @@ fn sample_node(
     network: &Network,
     id: NodeId,
     localizer: &BeaconlessMle,
-    expected: &mut ExpectedObservation,
+    scratch: &mut SampleScratch,
 ) -> Option<TrainingSample> {
     let knowledge = network.knowledge();
     let obs = network.true_observation(id);
     let estimate = localizer.estimate(knowledge, &obs)?;
-    // µ(L_e) into the caller's reused scratch, all three metrics in one
-    // fused pass — bit-identical to scoring each metric separately.
-    expected.fill(knowledge, estimate);
-    let scores = score_all_fused(&obs, expected.mu(), expected.group_size());
+    // The engine's scoring surface: the observation as a CSR row, µ(L_e)
+    // over its sparse support, all three metrics in one fused pass —
+    // bit-identical to the dense per-metric kernels.
+    scratch.row.reset(knowledge.group_count());
+    scratch.row.push(&obs, estimate);
+    knowledge.expected_sparse_into(estimate, &mut scratch.mu);
+    let scores = score_all_fused_sparse(scratch.row.row(0), scratch.mu.view());
     Some(TrainingSample {
         scores,
         localization_error: estimate.distance(network.node(id).resident_point),
@@ -143,6 +153,7 @@ fn sample_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::score_all_fused;
     use lad_deployment::DeploymentConfig;
 
     fn quick_trainer(seed: u64) -> Trainer {
@@ -182,6 +193,58 @@ mod tests {
         let mean_err: f64 =
             samples.iter().map(|s| s.localization_error).sum::<f64>() / samples.len() as f64;
         assert!(mean_err < 60.0, "mean clean localization error {mean_err}");
+    }
+
+    #[test]
+    fn sample_scores_are_bit_identical_to_the_dense_fused_oracle() {
+        let knowledge = DeploymentKnowledge::shared(&DeploymentConfig::small_test());
+        let localizer = BeaconlessMle::new();
+        let mut scratch = SampleScratch::default();
+        let mut checked = 0;
+        for seed in [1, 2] {
+            let network = Network::generate(knowledge.clone(), seed);
+            for id in (0..network.node_count() as u32).step_by(3).map(NodeId) {
+                let Some(sample) = sample_node(&network, id, &localizer, &mut scratch) else {
+                    continue;
+                };
+                let obs = network.true_observation(id);
+                let estimate = localizer.estimate(&knowledge, &obs).unwrap();
+                let mu = knowledge.expected_observation(estimate);
+                let dense = score_all_fused(&obs, &mu, knowledge.group_size());
+                assert_eq!(
+                    sample.scores.map(f64::to_bits),
+                    dense.map(f64::to_bits),
+                    "node {} of network {seed}",
+                    id.0
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 100, "only {checked} samples checked");
+    }
+
+    /// FNV-1a of a trained `small_test` engine's artifact JSON, which
+    /// carries every clean training score and every threshold. Any moved
+    /// bit changes the digest.
+    #[test]
+    fn trained_artifact_digest_is_pinned() {
+        let engine = crate::engine::LadEngine::builder()
+            .deployment(&DeploymentConfig::small_test())
+            .training(TrainingConfig {
+                networks: 2,
+                samples_per_network: 64,
+                seed: 7,
+                ..TrainingConfig::default()
+            })
+            .metrics(&MetricKind::ALL)
+            .tau(0.99)
+            .build()
+            .unwrap();
+        let json = engine.to_json();
+        let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((digest, json.len()), (0x4c87_9e2b_a438_4f99, 7524));
     }
 
     #[test]

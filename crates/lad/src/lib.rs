@@ -66,8 +66,8 @@ pub mod prelude {
         simulate_attack, taint_observation, AttackClass, AttackConfig, AttackOutcome, Evasion,
     };
     pub use lad_core::{
-        AddAllMetric, DetectionMetric, DetectionRequest, DiffMetric, EngineArtifact, EngineError,
-        LadDetector, LadEngine, LadEngineBuilder, MetricKind, MultiVerdict, ProbabilityMetric,
+        AddAllMetric, DetectionMetric, DiffMetric, EngineArtifact, EngineError, LadDetector,
+        LadEngine, LadEngineBuilder, MetricKind, MultiVerdict, ProbabilityMetric,
         TrainedThresholds, Trainer, TrainingConfig, Verdict,
     };
     pub use lad_deployment::{DeploymentConfig, DeploymentKnowledge, GzTable};
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use lad_localization::{
         BeaconlessMle, CentroidLocalizer, DvHopLocalizer, LocalizationScheme, Localizer,
     };
-    pub use lad_net::{GroupId, Network, NodeId, Observation};
+    pub use lad_net::{GroupId, Network, NodeId, Observation, ObservationBatch};
     pub use lad_response::{
         AlarmJournal, ClusterQuarantine, ResponseConfig, ResponseController, RevocationList,
         RevocationPolicy, SuspectScorer, ThresholdRevoke,

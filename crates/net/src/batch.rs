@@ -1,11 +1,10 @@
 //! Flat CSR-style observation batches for the detection hot path.
 //!
-//! A [`DetectionRequest`](../../lad_core/engine/struct.DetectionRequest.html)
-//! carries one heap-allocated [`Observation`] (a dense `Vec<u32>` of
-//! `group_count` counts, most of them zero) per report. At serving volume
-//! that is one allocation and one O(n) vector per report. An
-//! [`ObservationBatch`] stores a whole batch in four flat arrays instead —
-//! the classic CSR layout:
+//! A dense [`Observation`] is one heap-allocated `Vec<u32>` of
+//! `group_count` counts, most of them zero. At serving volume that is one
+//! allocation and one O(n) vector per report. An [`ObservationBatch`]
+//! stores a whole batch in four flat arrays instead — the classic CSR
+//! layout:
 //!
 //! * `offsets[r] .. offsets[r + 1]` delimits row `r` inside
 //! * `groups` / `counts` — the **nonzero** `(group, count)` pairs of every

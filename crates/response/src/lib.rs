@@ -101,9 +101,10 @@
 //!     },
 //!     0.3,
 //! );
+//! let (mut reporters, mut rows) = (Vec::new(), lad_net::ObservationBatch::default());
 //! for round in 0..16 {
-//!     let batch = traffic.round(&network, round);
-//!     runtime.submit_batch(round, batch);
+//!     traffic.round_rows(&network, round, &mut reporters, &mut rows);
+//!     runtime.submit_rows(round, &reporters, &rows);
 //!     let outcome = controller.step(&runtime, round);
 //!     // Close the loop: revoked attackers fall silent.
 //!     traffic.revoke_nodes(&outcome.newly_revoked, round + 1);

@@ -9,7 +9,7 @@
 //! volume:
 //!
 //! ```text
-//!             submit_batch(round, reports)
+//!          submit_rows(round, nodes, rows)
 //!                        │
 //!              ResponseFilter (revoked node /
 //!              quarantined region ⇒ suppressed
@@ -109,8 +109,10 @@
 //!     },
 //!     0.5,
 //! );
+//! let (mut reporters, mut rows) = (Vec::new(), lad_net::ObservationBatch::default());
 //! for round in 0..20 {
-//!     runtime.submit_batch(round, traffic.round(&network, round));
+//!     traffic.round_rows(&network, round, &mut reporters, &mut rows);
+//!     runtime.submit_rows(round, &reporters, &rows);
 //! }
 //! let report = runtime.shutdown();
 //! assert!(report.alarms.iter().any(|a| a.round >= 10), "attack detected");

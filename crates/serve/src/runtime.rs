@@ -64,7 +64,7 @@
 
 use crate::drift::{DriftMonitorConfig, DriftSnapshot};
 use crate::snapshot::{NodeDetectorState, ServeError, ServeSnapshot, SNAPSHOT_VERSION};
-use lad_core::engine::{DetectionRequest, LadEngine};
+use lad_core::engine::LadEngine;
 use lad_core::MetricKind;
 use lad_deployment::MuCache;
 use lad_geometry::{Circle, Point2};
@@ -667,11 +667,11 @@ impl ServeRuntime {
     }
 
     /// Installs (replaces) the response filter. Subsequent
-    /// [`Self::submit_rows`] / [`Self::submit_batch`] calls suppress
-    /// reports from revoked nodes and reports claiming a quarantined
-    /// position before they reach a shard; in-flight batches are not
-    /// re-filtered. Counted in [`ServeCounters::suppressed`]; per-region
-    /// suppression telemetry restarts from zero for the new filter.
+    /// [`Self::submit_rows`] calls suppress reports from revoked nodes and
+    /// reports claiming a quarantined position before they reach a shard;
+    /// in-flight batches are not re-filtered. Counted in
+    /// [`ServeCounters::suppressed`]; per-region suppression telemetry
+    /// restarts from zero for the new filter.
     pub fn install_response_filter(&self, filter: ResponseFilter) {
         let region_hits = Arc::new(
             (0..filter.quarantined.len())
@@ -713,26 +713,6 @@ impl ServeRuntime {
         )
     }
 
-    /// Submits one round of reports. The batch is partitioned by
-    /// [`shard_of`] and handed to the shards; the call blocks while any
-    /// destination shard's queue is full (backpressure). Rounds must be
-    /// submitted in nondecreasing order for the per-node decision sequences
-    /// to be meaningful.
-    ///
-    /// Convenience wrapper over [`Self::submit_rows`] for callers holding
-    /// per-report `DetectionRequest`s; the flat-row entry point avoids the
-    /// per-report heap objects entirely.
-    pub fn submit_batch(&self, round: u64, batch: Vec<(NodeId, DetectionRequest)>) {
-        let group_count = self.group_count;
-        let mut nodes = Vec::with_capacity(batch.len());
-        let mut rows = ObservationBatch::new(group_count);
-        for (node, request) in &batch {
-            nodes.push(*node);
-            rows.push(&request.observation, request.estimate);
-        }
-        self.submit_rows(round, &nodes, &rows);
-    }
-
     /// Submits one round of reports as flat CSR rows: `nodes[i]` reported
     /// `rows.row(i)`. Reports suppressed by the installed
     /// [`ResponseFilter`] (revoked node / quarantined claimed position) are
@@ -743,7 +723,8 @@ impl ServeRuntime {
     /// [`ObservationBatch`]es (flat copies — the only per-call allocations
     /// are the per-shard batch buffers handed over the queues), and the
     /// call blocks while any destination shard's queue is full
-    /// (backpressure).
+    /// (backpressure). Rounds must be submitted in nondecreasing order for
+    /// the per-node decision sequences to be meaningful.
     ///
     /// # Non-finite estimates
     /// Estimates are not range-checked: NaN, ±∞ and huge finite claims
@@ -1654,9 +1635,17 @@ mod tests {
         (clean, attacked)
     }
 
-    fn run_rounds(runtime: &ServeRuntime, model: &TrafficModel, network: &Network, rounds: u64) {
-        for round in 0..rounds {
-            runtime.submit_batch(round, model.round(network, round));
+    fn run_rounds(
+        runtime: &ServeRuntime,
+        model: &TrafficModel,
+        network: &Network,
+        rounds: std::ops::Range<u64>,
+    ) {
+        let mut nodes = Vec::new();
+        let mut rows = ObservationBatch::default();
+        for round in rounds {
+            model.round_rows(network, round, &mut nodes, &mut rows);
+            runtime.submit_rows(round, &nodes, &rows);
         }
     }
 
@@ -1702,7 +1691,7 @@ mod tests {
             ServeConfig::new(MetricKind::Diff, detector).with_shards(3),
         )
         .unwrap();
-        run_rounds(&runtime, &attacked, &network, 14);
+        run_rounds(&runtime, &attacked, &network, 0..14);
         let alarms = sorted_alarms(runtime.drain_alarms());
         assert_eq!(
             alarms,
@@ -1743,7 +1732,7 @@ mod tests {
         );
         let held = runtime.shards[0].hold.write().unwrap();
         // Exactly `queue_depth` rounds: the queue fills without blocking.
-        run_rounds(&runtime, &attacked, &network, ROUNDS);
+        run_rounds(&runtime, &attacked, &network, 0..ROUNDS);
         assert_eq!(runtime.shards[0].queue.len(), ROUNDS as usize);
 
         let (tx, rx) = mpsc::channel();
@@ -1839,7 +1828,7 @@ mod tests {
 
         // Reference: one uninterrupted run.
         let reference = ServeRuntime::start(engine.clone(), config.clone()).unwrap();
-        run_rounds(&reference, &attacked, &network, 12);
+        run_rounds(&reference, &attacked, &network, 0..12);
         let mut ref_alarms: Vec<(u32, u64)> = reference
             .drain_alarms()
             .into_iter()
@@ -1851,7 +1840,7 @@ mod tests {
         // Interrupted: run 7 rounds, snapshot to JSON, restore into a fresh
         // runtime with a *different* shard count, run the rest.
         let first = ServeRuntime::start(engine.clone(), config.clone()).unwrap();
-        run_rounds(&first, &attacked, &network, 7);
+        run_rounds(&first, &attacked, &network, 0..7);
         let mut alarms: Vec<(u32, u64)> = first
             .drain_alarms()
             .into_iter()
@@ -1863,9 +1852,7 @@ mod tests {
         let resumed = ServeSnapshot::from_json(&json).expect("snapshot parses");
         let second = ServeRuntime::start(engine.clone(), config.with_shards(5)).unwrap();
         second.restore(&resumed).expect("snapshot restores");
-        for round in 7..12 {
-            second.submit_batch(round, attacked.round(&network, round));
-        }
+        run_rounds(&second, &attacked, &network, 7..12);
         alarms.extend(
             second
                 .drain_alarms()
@@ -1932,14 +1919,9 @@ mod tests {
         // Restoring over live state would merge two traffic histories:
         // rejected once anything has been ingested.
         let valid = runtime.snapshot();
-        let obs = lad_net::Observation::zeros(engine.knowledge().group_count());
-        runtime.submit_batch(
-            0,
-            vec![(
-                NodeId(0),
-                DetectionRequest::new(obs, lad_geometry::Point2::new(100.0, 100.0)),
-            )],
-        );
+        let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+        rows.push_sparse(&[], &[], lad_geometry::Point2::new(100.0, 100.0));
+        runtime.submit_rows(0, &[NodeId(0)], &rows);
         runtime.sync();
         assert!(matches!(
             runtime.restore(&valid),
@@ -1998,7 +1980,7 @@ mod tests {
                 .with_queue_depth(1),
         )
         .unwrap();
-        run_rounds(&runtime, &clean, &network, 20);
+        run_rounds(&runtime, &clean, &network, 0..20);
         runtime.sync();
         let counters = runtime.counters();
         assert_eq!(counters.queue_depth(), 0);
@@ -2016,14 +1998,9 @@ mod tests {
         let runtime =
             ServeRuntime::start(engine.clone(), ServeConfig::new(MetricKind::Diff, detector))
                 .unwrap();
-        let obs = lad_net::Observation::zeros(engine.knowledge().group_count());
-        runtime.submit_batch(
-            0,
-            vec![(
-                NodeId(7),
-                DetectionRequest::new(obs, lad_geometry::Point2::new(100.0, 100.0)),
-            )],
-        );
+        let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+        rows.push_sparse(&[], &[], lad_geometry::Point2::new(100.0, 100.0));
+        runtime.submit_rows(0, &[NodeId(7)], &rows);
         runtime.record_shed(5);
         runtime.record_decode_error();
         runtime.sync();

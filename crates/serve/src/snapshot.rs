@@ -7,9 +7,8 @@
 //! * **v1** — detector states + ingestion counters.
 //! * **v2** — adds [`ServeSnapshot::pending_alarms`]: alarms fired but not
 //!   yet drained when the snapshot was taken, so a restart cannot silently
-//!   lose them. v1 artifacts are migrated on read (no pending alarms); a
-//!   v1 reader meeting a v2 artifact fails with its typed
-//!   `UnsupportedVersion { found: 2 }`.
+//!   lose them. v1 artifacts are rejected with the typed
+//!   `UnsupportedVersion { found: 1 }`, as a v1 reader rejects v2.
 
 use crate::runtime::Alarm;
 use lad_core::engine::LadEngine;
@@ -93,9 +92,8 @@ pub struct NodeDetectorState {
 /// count or thread scheduling — plus (since v2) every fired-but-undrained
 /// alarm, so restoring after a restart loses no detections.
 ///
-/// Serialised snapshots carry `version: 2`; loading migrates version 1
-/// (empty pending alarms) and rejects anything else with
-/// [`ServeError::UnsupportedVersion`].
+/// Serialised snapshots carry `version: 2`; loading rejects any other
+/// version with [`ServeError::UnsupportedVersion`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeSnapshot {
     /// Snapshot format version (see [`SNAPSHOT_VERSION`]).
@@ -111,8 +109,7 @@ pub struct ServeSnapshot {
     pub requests_ingested: u64,
     /// Total alarms raised when the snapshot was taken (drained or not) —
     /// restored alongside `requests_ingested` so alarms-per-request stays
-    /// consistent across a restart (v2+; 0 after a v1 migration, which
-    /// never recorded it).
+    /// consistent across a restart.
     pub alarms_raised: u64,
     /// The highest round number ingested when the snapshot was taken.
     pub last_round: u64,
@@ -120,40 +117,8 @@ pub struct ServeSnapshot {
     pub states: Vec<NodeDetectorState>,
     /// Alarms fired but not yet drained when the snapshot was taken, in
     /// firing order. `restore` re-injects them into the alarm stream so a
-    /// post-restart drain still sees them (v2+; empty after a v1
-    /// migration).
+    /// post-restart drain still sees them.
     pub pending_alarms: Vec<Alarm>,
-}
-
-/// The v1 artifact layout (no pending alarms), kept for migration. The
-/// `version` field is checked by `from_json` before this parse, so it is
-/// not re-declared here.
-#[derive(Deserialize)]
-struct ServeSnapshotV1 {
-    metric: MetricKind,
-    engine_fingerprint: u64,
-    detector: SequentialDetector,
-    requests_ingested: u64,
-    last_round: u64,
-    states: Vec<NodeDetectorState>,
-}
-
-impl From<ServeSnapshotV1> for ServeSnapshot {
-    fn from(v1: ServeSnapshotV1) -> Self {
-        ServeSnapshot {
-            version: SNAPSHOT_VERSION,
-            metric: v1.metric,
-            engine_fingerprint: v1.engine_fingerprint,
-            detector: v1.detector,
-            requests_ingested: v1.requests_ingested,
-            // v1 never persisted the alarm total or undrained alarms;
-            // nothing to recover.
-            alarms_raised: 0,
-            last_round: v1.last_round,
-            states: v1.states,
-            pending_alarms: Vec::new(),
-        }
-    }
 }
 
 impl ServeSnapshot {
@@ -167,9 +132,8 @@ impl ServeSnapshot {
         serde_json::to_string_pretty(self).expect("serve snapshot serialises")
     }
 
-    /// Restores a snapshot from [`Self::to_json`] output. Version 1
-    /// artifacts are migrated (no pending alarms to recover); versions
-    /// other than 1 and [`SNAPSHOT_VERSION`] are rejected with
+    /// Restores a snapshot from [`Self::to_json`] output. Versions other
+    /// than [`SNAPSHOT_VERSION`] are rejected with
     /// [`ServeError::UnsupportedVersion`].
     pub fn from_json(json: &str) -> Result<Self, ServeError> {
         let value = serde_json::parse_value(json).map_err(|e| ServeError::Parse(e.to_string()))?;
@@ -178,15 +142,10 @@ impl ServeSnapshot {
             .ok_or_else(|| ServeError::Parse("not a serve snapshot (no `version` field)".into()))?
             .as_u64()
             .ok_or_else(|| ServeError::Parse("`version` must be an integer".into()))?;
-        match found {
-            1 => serde_json::from_value::<ServeSnapshotV1>(&value)
-                .map(ServeSnapshot::from)
-                .map_err(|e| ServeError::Parse(e.to_string())),
-            v if v == SNAPSHOT_VERSION as u64 => {
-                serde_json::from_value(&value).map_err(|e| ServeError::Parse(e.to_string()))
-            }
-            _ => Err(ServeError::UnsupportedVersion { found }),
+        if found != SNAPSHOT_VERSION as u64 {
+            return Err(ServeError::UnsupportedVersion { found });
         }
+        serde_json::from_value(&value).map_err(|e| ServeError::Parse(e.to_string()))
     }
 
     /// The state of one node, if tracked (binary search over the sorted
@@ -269,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_artifacts_migrate_with_empty_pending_alarms() {
+    fn v1_artifacts_are_rejected_with_the_typed_error() {
         // A v1 writer never emitted `pending_alarms`; synthesise its JSON
         // by stripping the field and stamping version 1.
         let mut v2 = snapshot();
@@ -279,12 +238,10 @@ mod tests {
             .replacen("\"version\":2", "\"version\":1", 1)
             .replace(",\"pending_alarms\":[]", "");
         assert!(!v1_json.contains("pending_alarms"), "test setup");
-        let migrated = ServeSnapshot::from_json(&v1_json).expect("v1 migrates");
-        assert_eq!(migrated.version, SNAPSHOT_VERSION);
-        assert!(migrated.pending_alarms.is_empty());
-        assert_eq!(migrated.states, v2.states);
-        assert_eq!(migrated.detector, v2.detector);
-        assert_eq!(migrated.requests_ingested, v2.requests_ingested);
+        assert_eq!(
+            ServeSnapshot::from_json(&v1_json),
+            Err(ServeError::UnsupportedVersion { found: 1 })
+        );
     }
 
     #[test]

@@ -61,15 +61,13 @@ fn main() {
         let victims: Vec<NodeId> = (0..200u32).map(|i| NodeId(i * 149)).collect();
         // Simulate the attacks, then verify the whole wave in one batched
         // engine pass.
-        let requests: Vec<DetectionRequest> = victims
-            .iter()
-            .map(|&victim| {
-                let outcome = simulate_attack(&network, victim, &attack, &mut rng);
-                DetectionRequest::new(outcome.tainted_observation, outcome.forged_location)
-            })
-            .collect();
+        let mut rows = ObservationBatch::new(network.group_count());
+        for &victim in &victims {
+            let outcome = simulate_attack(&network, victim, &attack, &mut rng);
+            rows.push(&outcome.tainted_observation, outcome.forged_location);
+        }
         let detected = engine
-            .verify_batch(&requests)
+            .verify_rows(&rows)
             .iter()
             .filter(|v| v.anomalous)
             .count();

@@ -134,18 +134,19 @@ fn main() {
     let mut lifted = 0usize;
     let serve_from = warmup;
     let half_way = onset + horizon / 2;
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::default());
     for round in serve_from..onset + horizon {
-        let batch = traffic.round(&network, round);
+        traffic.round_rows(&network, round, &mut nodes, &mut rows);
         let filter = runtime.response_filter();
-        for (node, request) in &batch {
+        for (r, node) in nodes.iter().enumerate() {
             if attackers.contains(&node.0)
                 && traffic.is_attacked(*node, round)
-                && !filter.suppresses(*node, request.estimate)
+                && !filter.suppresses(*node, rows.estimate(r))
             {
                 last_effective.insert(node.0, round);
             }
         }
-        runtime.submit_batch(round, batch);
+        runtime.submit_rows(round, &nodes, &rows);
         let outcome = controller.step(&runtime, round);
         for node in &outcome.newly_revoked {
             revocation_round.push((node.0, round));

@@ -87,7 +87,11 @@ fn main() {
     // printed reports/s) measures the serving path — partition, queue,
     // score, decide — not the simulator.
     let rounds: Vec<_> = (serve_from..serve_from + horizon)
-        .map(|round| (round, traffic.round(&network, round)))
+        .map(|round| {
+            let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::default());
+            traffic.round_rows(&network, round, &mut nodes, &mut rows);
+            (round, nodes, rows)
+        })
         .collect();
     let runtime = ServeRuntime::start(
         engine.clone(),
@@ -95,8 +99,8 @@ fn main() {
     )
     .expect("runtime starts");
     let t0 = Instant::now();
-    for (round, batch) in rounds {
-        runtime.submit_batch(round, batch);
+    for (round, nodes, rows) in &rounds {
+        runtime.submit_rows(*round, nodes, rows);
     }
     runtime.sync();
     let elapsed = t0.elapsed();
@@ -145,8 +149,10 @@ fn main() {
     )
     .expect("resumed runtime starts");
     resumed.restore(&restored).expect("snapshot restores");
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::default());
     for round in serve_from + horizon..serve_from + horizon + 4 {
-        resumed.submit_batch(round, traffic.round(&network, round));
+        traffic.round_rows(&network, round, &mut nodes, &mut rows);
+        resumed.submit_rows(round, &nodes, &rows);
     }
     let resumed_alarms = resumed.drain_alarms();
     println!(

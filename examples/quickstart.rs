@@ -100,16 +100,14 @@ fn main() {
     // 6. Batch verification is the production path: µ(L_e) is computed once
     //    per estimate and shared by all three metrics, and the batch fans
     //    out over worker threads.
-    let requests: Vec<DetectionRequest> = (0..network.node_count() as u32)
-        .step_by(5)
-        .filter_map(|i| {
-            let node = NodeId(i);
-            let obs = network.true_observation(node);
-            let estimate = engine.localizer().estimate(engine.knowledge(), &obs)?;
-            Some(DetectionRequest::new(obs, estimate))
-        })
-        .collect();
-    let verdicts = engine.verify_batch(&requests);
+    let mut rows = ObservationBatch::new(network.group_count());
+    for i in (0..network.node_count() as u32).step_by(5) {
+        let obs = network.true_observation(NodeId(i));
+        if let Some(estimate) = engine.localizer().estimate(engine.knowledge(), &obs) {
+            rows.push(&obs, estimate);
+        }
+    }
+    let verdicts = engine.verify_rows(&rows);
     let alarms = verdicts.iter().filter(|v| v.anomalous).count();
     println!(
         "batch-verified {} honest sensors: {} alarms ({:.1}% clean false-positive rate)",

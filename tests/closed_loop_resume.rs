@@ -8,6 +8,13 @@ use lad::response::{ResponseSnapshot, RESPONSE_SNAPSHOT_VERSION};
 use lad::serve::SNAPSHOT_VERSION;
 use std::sync::Arc;
 
+/// Submits `traffic`'s round `round` to `runtime` as CSR rows.
+fn submit_round(runtime: &ServeRuntime, traffic: &TrafficModel, network: &Network, round: u64) {
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::default());
+    traffic.round_rows(network, round, &mut nodes, &mut rows);
+    runtime.submit_rows(round, &nodes, &rows);
+}
+
 fn engine() -> Arc<LadEngine> {
     Arc::new(
         LadEngine::builder()
@@ -51,7 +58,7 @@ fn undrained_alarms_survive_snapshot_and_restore() {
     // Reference: one uninterrupted run, drained at the end.
     let reference = ServeRuntime::start(engine.clone(), config.clone()).unwrap();
     for round in 0..16 {
-        reference.submit_batch(round, attacked.round(&network, round));
+        submit_round(&reference, &attacked, &network, round);
     }
     let mut ref_alarms: Vec<(u32, u64)> = reference.drain_alarms().iter().map(key).collect();
     ref_alarms.sort_unstable();
@@ -61,7 +68,7 @@ fn undrained_alarms_survive_snapshot_and_restore() {
     // Interrupted run: serve 9 rounds and snapshot WITHOUT draining.
     let first = ServeRuntime::start(engine.clone(), config.clone()).unwrap();
     for round in 0..9 {
-        first.submit_batch(round, attacked.round(&network, round));
+        submit_round(&first, &attacked, &network, round);
     }
     let snapshot = first.snapshot();
     assert_eq!(snapshot.version, SNAPSHOT_VERSION);
@@ -91,7 +98,7 @@ fn undrained_alarms_survive_snapshot_and_restore() {
         "restore re-injects the pending alarms"
     );
     for round in 9..16 {
-        second.submit_batch(round, attacked.round(&network, round));
+        submit_round(&second, &attacked, &network, round);
     }
     alarms.extend(second.drain_alarms().iter().map(key));
     alarms.sort_unstable();
@@ -116,7 +123,7 @@ fn shutdown_snapshot_carries_undrained_alarms() {
     let runtime =
         ServeRuntime::start(engine.clone(), ServeConfig::new(MetricKind::Diff, detector)).unwrap();
     for round in 0..12 {
-        runtime.submit_batch(round, attacked.round(&network, round));
+        submit_round(&runtime, &attacked, &network, round);
     }
     let report = runtime.shutdown();
     assert!(!report.alarms.is_empty(), "the attack must alarm");
@@ -153,7 +160,7 @@ fn response_controller_resumes_identically_mid_loop() {
                 assert_eq!(snap.version, RESPONSE_SNAPSHOT_VERSION);
                 controller = ResponseController::from_snapshot(snap).with_policy(policy());
             }
-            runtime.submit_batch(round, traffic.round(&network, round));
+            submit_round(&runtime, &traffic, &network, round);
             let outcome = controller.step(&runtime, round);
             if !outcome.newly_revoked.is_empty() {
                 traffic.revoke_nodes(&outcome.newly_revoked, round + 1);

@@ -18,6 +18,13 @@ use lad::serve::{ServeError, DRIFT_BASELINE_VERSION, STATS_VERSION};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
+/// Submits `traffic`'s round `round` to `runtime` as CSR rows.
+fn submit_round(runtime: &ServeRuntime, traffic: &TrafficModel, network: &Network, round: u64) {
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::default());
+    traffic.round_rows(network, round, &mut nodes, &mut rows);
+    runtime.submit_rows(round, &nodes, &rows);
+}
+
 struct Substrate {
     engine: Arc<LadEngine>,
     network: Network,
@@ -112,7 +119,7 @@ proptest! {
         )
         .expect("runtime starts");
         for round in 0..10u64 {
-            runtime.submit_batch(round, traffic.round(&s.network, round));
+            submit_round(&runtime, &traffic, &s.network, round);
             runtime.sync();
             let verdict = runtime.refresh_drift();
             prop_assert!(
@@ -161,7 +168,7 @@ proptest! {
         let mut last_ks = 0.0;
         let mut flagged_at = None;
         for round in 0..K {
-            runtime.submit_batch(round, traffic.round(&network, round));
+            submit_round(&runtime, &traffic, &network, round);
             runtime.sync();
             let verdict = runtime.refresh_drift();
             last_ks = verdict.ks;
@@ -216,7 +223,7 @@ fn versioned_artifacts_reject_the_future_loudly() {
     .expect("runtime starts");
     let traffic = TrafficModel::clean(&s.network, &s.engine, s.nodes.clone(), 0xBEEF);
     for round in 0..3u64 {
-        runtime.submit_batch(round, traffic.round(&s.network, round));
+        submit_round(&runtime, &traffic, &s.network, round);
     }
     runtime.sync();
     runtime.refresh_drift();

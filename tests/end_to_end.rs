@@ -42,36 +42,33 @@ fn large_damage_attacks_are_detected_and_honest_nodes_pass() {
         .step_by(37)
         .map(|i| NodeId(i as u32))
         .collect();
-    let honest_requests: Vec<DetectionRequest> = sampled
+    let mut honest_rows = ObservationBatch::new(network.group_count());
+    for (&id, estimate) in sampled
         .iter()
         .zip(engine.localize_batch(&network, &sampled))
-        .filter_map(|(&id, estimate)| {
-            Some(DetectionRequest::new(
-                network.true_observation(id),
-                estimate?,
-            ))
-        })
-        .collect();
-    let honest_verdicts = engine.verify_batch(&honest_requests);
+    {
+        if let Some(estimate) = estimate {
+            honest_rows.push(&network.true_observation(id), estimate);
+        }
+    }
+    let honest_verdicts = engine.verify_rows(&honest_rows);
     let honest_alarms = honest_verdicts.iter().filter(|v| v.anomalous).count();
 
     // Attacked path: simulate the attack wave, then verify it in one batch.
-    let attacked_requests: Vec<DetectionRequest> = sampled
-        .iter()
-        .map(|&id| {
-            let outcome = simulate_attack(&network, id, &attack, &mut rng);
-            DetectionRequest::new(outcome.tainted_observation, outcome.forged_location)
-        })
-        .collect();
+    let mut attacked_rows = ObservationBatch::new(network.group_count());
+    for &id in &sampled {
+        let outcome = simulate_attack(&network, id, &attack, &mut rng);
+        attacked_rows.push(&outcome.tainted_observation, outcome.forged_location);
+    }
     let attacks_detected = engine
-        .verify_batch(&attacked_requests)
+        .verify_rows(&attacked_rows)
         .iter()
         .filter(|v| v.anomalous)
         .count();
 
     let fp = honest_alarms as f64 / honest_verdicts.len() as f64;
-    let dr = attacks_detected as f64 / attacked_requests.len() as f64;
-    assert!(honest_verdicts.len() > 80 && attacked_requests.len() > 80);
+    let dr = attacks_detected as f64 / attacked_rows.len() as f64;
+    assert!(honest_verdicts.len() > 80 && attacked_rows.len() > 80);
     assert!(fp < 0.10, "honest false-positive rate too high: {fp}");
     assert!(dr > 0.85, "detection rate for D=160 too low: {dr}");
     assert!(
@@ -94,17 +91,16 @@ fn detection_rate_grows_with_degree_of_damage() {
             targeted_metric: MetricKind::Diff,
         };
         let total = 150usize;
-        let requests: Vec<DetectionRequest> = (0..total)
-            .map(|i| {
-                // Stride across the whole id space so victims come from every
-                // deployment group, not just the corner ones.
-                let victim = NodeId((i * 199) as u32);
-                let outcome = simulate_attack(&network, victim, &attack, &mut rng);
-                DetectionRequest::new(outcome.tainted_observation, outcome.forged_location)
-            })
-            .collect();
+        let mut rows = ObservationBatch::new(network.group_count());
+        for i in 0..total {
+            // Stride across the whole id space so victims come from every
+            // deployment group, not just the corner ones.
+            let victim = NodeId((i * 199) as u32);
+            let outcome = simulate_attack(&network, victim, &attack, &mut rng);
+            rows.push(&outcome.tainted_observation, outcome.forged_location);
+        }
         let detected = engine
-            .verify_batch(&requests)
+            .verify_rows(&rows)
             .iter()
             .filter(|v| v.anomalous)
             .count();
@@ -133,15 +129,13 @@ fn all_three_metrics_detect_gross_anomalies() {
         };
         // A gross anomaly should be flagged for a clear majority of trials
         // (different victims and forged directions) for every metric.
-        let requests: Vec<DetectionRequest> = (0..30u32)
-            .map(|k| {
-                let outcome =
-                    simulate_attack(&network, NodeId(victim.0 + k * 131), &attack, &mut rng);
-                DetectionRequest::new(outcome.tainted_observation, outcome.forged_location)
-            })
-            .collect();
+        let mut rows = ObservationBatch::new(network.group_count());
+        for k in 0..30u32 {
+            let outcome = simulate_attack(&network, NodeId(victim.0 + k * 131), &attack, &mut rng);
+            rows.push(&outcome.tainted_observation, outcome.forged_location);
+        }
         let detected = engine
-            .verify_batch(&requests)
+            .verify_rows(&rows)
             .iter()
             .filter(|v| v.verdict(metric).expect("metric is configured").anomalous)
             .count();

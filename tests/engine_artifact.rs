@@ -1,6 +1,7 @@
 //! Coverage for the versioned `EngineArtifact` format: JSON round trips
-//! preserve verdicts, unknown versions are rejected with the typed error,
-//! and legacy (pre-engine) `LadPipeline` JSON is migrated.
+//! preserve verdicts, unknown versions and invalid metric lists are
+//! rejected with typed errors, and unversioned legacy (pre-engine) JSON is
+//! a parse error.
 
 use lad::prelude::*;
 
@@ -19,23 +20,24 @@ fn fitted_engine() -> LadEngine {
         .expect("engine fits")
 }
 
-fn probe_requests(engine: &LadEngine) -> Vec<DetectionRequest> {
+fn probe_rows(engine: &LadEngine) -> ObservationBatch {
     let network = Network::generate(engine.knowledge().clone(), 77);
-    (0..60u32)
-        .filter_map(|i| {
-            let node = NodeId(i * 13);
-            let obs = network.true_observation(node);
-            let estimate = engine.localizer().estimate(engine.knowledge(), &obs)?;
-            // Alternate honest estimates with displaced (anomalous) ones so
-            // the probe set exercises both verdict outcomes.
-            let estimate = if i % 2 == 0 {
-                estimate
-            } else {
-                Point2::new(estimate.x + 180.0, estimate.y - 120.0)
-            };
-            Some(DetectionRequest::new(obs, estimate))
-        })
-        .collect()
+    let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+    for i in 0..60u32 {
+        let obs = network.true_observation(NodeId(i * 13));
+        let Some(estimate) = engine.localizer().estimate(engine.knowledge(), &obs) else {
+            continue;
+        };
+        // Alternate honest estimates with displaced (anomalous) ones so
+        // the probe set exercises both verdict outcomes.
+        let estimate = if i % 2 == 0 {
+            estimate
+        } else {
+            Point2::new(estimate.x + 180.0, estimate.y - 120.0)
+        };
+        rows.push(&obs, estimate);
+    }
+    rows
 }
 
 #[test]
@@ -46,10 +48,10 @@ fn json_round_trip_preserves_every_verdict() {
     assert_eq!(engine.thresholds(), restored.thresholds());
     assert_eq!(engine.tau(), restored.tau());
 
-    let requests = probe_requests(&engine);
-    assert!(requests.len() > 30);
-    let before = engine.verify_batch(&requests);
-    let after = restored.verify_batch(&requests);
+    let rows = probe_rows(&engine);
+    assert!(rows.len() > 30);
+    let before = engine.verify_rows(&rows);
+    let after = restored.verify_rows(&rows);
     assert!(before.iter().any(|v| v.anomalous) && before.iter().any(|v| !v.anomalous));
     for (a, b) in before.iter().zip(&after) {
         assert_eq!(a.anomalous, b.anomalous);
@@ -90,9 +92,8 @@ fn version_0_and_version_2_artifacts_are_rejected_with_the_typed_error() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn legacy_pipeline_artifact_json_is_migrated() {
-    // Hand-build the pre-engine PipelineArtifact JSON shape:
+fn legacy_pipeline_artifact_json_is_rejected() {
+    // Hand-build the pre-engine single-metric pipeline JSON shape:
     // { deployment, training, trained, metric, tau } with no version field.
     let training = TrainingConfig {
         networks: 2,
@@ -109,20 +110,38 @@ fn legacy_pipeline_artifact_json_is_migrated() {
         serde_json::to_string(&training).unwrap(),
         serde_json::to_string(&trained).unwrap(),
     );
+    match LadEngine::from_json(&legacy) {
+        Err(EngineError::Parse(msg)) => assert!(msg.contains("version"), "{msg}"),
+        other => panic!("legacy JSON should be a Parse error, got {other:?}"),
+    }
+}
 
-    let engine = LadEngine::from_json(&legacy).expect("legacy artifact migrates");
-    assert_eq!(engine.metrics(), &[MetricKind::Diff]);
-    assert_eq!(engine.tau(), Some(0.99));
-    let expected_threshold = trained.threshold(MetricKind::Diff, 0.99).unwrap();
-    assert!((engine.thresholds()[0] - expected_threshold).abs() <= expected_threshold * 1e-12);
+#[test]
+fn empty_and_duplicated_metric_lists_are_rejected_with_the_typed_error() {
+    // A score-only artifact with its metric list emptied would otherwise
+    // load and then panic on its first scored batch.
+    let score_only = LadEngine::builder()
+        .deployment(&DeploymentConfig::small_test())
+        .metrics(&MetricKind::ALL)
+        .score_only()
+        .build()
+        .unwrap();
+    let all = "\"metrics\":[\"Diff\",\"AddAll\",\"Probability\"]";
+    let json = score_only.to_json();
+    assert!(json.contains(all), "test setup");
+    let empty = json.replacen(all, "\"metrics\":[]", 1);
+    assert_eq!(
+        LadEngine::from_json(&empty).unwrap_err(),
+        EngineError::InvalidMetrics(Vec::new())
+    );
 
-    // The deprecated pipeline loads the same legacy JSON through the engine.
-    let pipeline =
-        lad::core::LadPipeline::from_json(&legacy).expect("pipeline migrates legacy JSON");
-    assert_eq!(pipeline.metric(), MetricKind::Diff);
-
-    // And a migrated engine re-serialises as a versioned artifact.
-    assert!(engine.to_json().contains("\"version\":1"));
+    let fitted = fitted_engine().to_json();
+    assert!(fitted.contains(all), "test setup");
+    let duplicated = fitted.replacen(all, "\"metrics\":[\"Diff\",\"AddAll\",\"Diff\"]", 1);
+    assert_eq!(
+        LadEngine::from_json(&duplicated).unwrap_err(),
+        EngineError::InvalidMetrics(vec![MetricKind::Diff, MetricKind::AddAll, MetricKind::Diff])
+    );
 }
 
 #[test]
@@ -136,31 +155,6 @@ fn non_artifact_json_is_a_clear_parse_error() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn pipeline_rejects_artifacts_without_an_operating_point() {
-    // A score-only artifact is a valid engine but not a valid pipeline: the
-    // pipeline API promises a metric, a tau and a threshold, so loading one
-    // through LadPipeline::from_json must fail cleanly instead of panicking
-    // later in tau()/detector().
-    let score_only = LadEngine::builder()
-        .deployment(&DeploymentConfig::small_test())
-        .metrics(&MetricKind::ALL)
-        .score_only()
-        .build()
-        .unwrap();
-    assert!(lad::core::LadPipeline::from_json(&score_only.to_json()).is_err());
-
-    // Same for explicit thresholds (no tau).
-    let explicit = LadEngine::builder()
-        .deployment(&DeploymentConfig::small_test())
-        .metric(MetricKind::Diff)
-        .thresholds(vec![25.0])
-        .build()
-        .unwrap();
-    assert!(lad::core::LadPipeline::from_json(&explicit.to_json()).is_err());
-}
-
-#[test]
 fn score_only_artifacts_round_trip_without_thresholds() {
     let engine = LadEngine::builder()
         .deployment(&DeploymentConfig::small_test())
@@ -170,9 +164,13 @@ fn score_only_artifacts_round_trip_without_thresholds() {
         .unwrap();
     let restored = LadEngine::from_json(&engine.to_json()).expect("score-only round trip");
     assert!(restored.thresholds().is_empty());
-    let obs = Observation::zeros(restored.knowledge().group_count());
-    assert_eq!(
-        engine.score(&obs, Point2::new(100.0, 100.0)),
-        restored.score(&obs, Point2::new(100.0, 100.0))
+    let mut rows = ObservationBatch::new(restored.knowledge().group_count());
+    rows.push(
+        &Observation::zeros(rows.group_count()),
+        Point2::new(100.0, 100.0),
     );
+    let (mut before, mut after) = (Vec::new(), Vec::new());
+    engine.score_rows_into(&rows, &mut before);
+    restored.score_rows_into(&rows, &mut after);
+    assert_eq!(before, after);
 }

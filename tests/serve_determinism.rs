@@ -20,6 +20,13 @@ use lad::wire::{encode_batch, FramePoll, WireDecoder, WireFrame};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Submits `traffic`'s round `round` to `runtime` as CSR rows.
+fn submit_round(runtime: &ServeRuntime, traffic: &TrafficModel, network: &Network, round: u64) {
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::default());
+    traffic.round_rows(network, round, &mut nodes, &mut rows);
+    runtime.submit_rows(round, &nodes, &rows);
+}
+
 fn engine() -> Arc<LadEngine> {
     Arc::new(
         LadEngine::builder()
@@ -68,7 +75,7 @@ fn run_trace_cached(
     )
     .expect("runtime starts");
     for round in 0..rounds {
-        runtime.submit_batch(round, traffic.round(network, round));
+        submit_round(&runtime, traffic, network, round);
     }
     let mut alarms: Vec<(u32, u64)> = runtime
         .drain_alarms()
@@ -405,7 +412,7 @@ fn telemetry_never_changes_alarms_or_states() {
         )
         .expect("runtime starts");
         for round in 0..rounds {
-            runtime.submit_batch(round, traffic.round(&network, round));
+            submit_round(&runtime, &traffic, &network, round);
         }
         let mut alarms: Vec<(u32, u64)> = runtime
             .drain_alarms()
@@ -480,7 +487,7 @@ fn drift_monitor_never_changes_alarms_or_states() {
         }
         let runtime = ServeRuntime::start(engine.clone(), config).expect("runtime starts");
         for round in 0..rounds {
-            runtime.submit_batch(round, traffic.round(&network, round));
+            submit_round(&runtime, &traffic, &network, round);
             // Poll the monitor *while* traffic is in flight: the fold
             // message rides the same shard queues as the batches, so this
             // is the racy interleaving that must not perturb anything.
@@ -557,7 +564,7 @@ fn run_closed_loop(
     }));
     let mut alarms: Vec<JournalEntry> = Vec::new();
     for round in 0..rounds {
-        runtime.submit_batch(round, traffic.round(network, round));
+        submit_round(&runtime, &traffic, network, round);
         if respond {
             let outcome = controller.step(&runtime, round);
             if !outcome.newly_revoked.is_empty() {

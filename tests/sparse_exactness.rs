@@ -5,8 +5,8 @@
 //! random / saturated observations, for all three metrics and the fused
 //! kernel.
 
-use lad_core::metrics::{score_all_fused, score_all_fused_sparse, score_all_fused_sparse_obs};
-use lad_core::{DetectionRequest, LadEngine, MetricKind, ProbabilityMetric};
+use lad_core::metrics::{score_all_fused, score_all_fused_sparse};
+use lad_core::{LadEngine, MetricKind, ProbabilityMetric};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, SparseMu};
 use lad_geometry::Point2;
 use lad_net::{Observation, ObservationBatch};
@@ -82,13 +82,11 @@ fn check_point(knowledge: &DeploymentKnowledge, obs: &Observation, theta: Point2
         "min_ln_probability",
     );
 
-    // Fused kernels: dense, sparse row, sparse µ against a dense obs.
+    // Fused kernels: dense vs sparse row.
     let dense_fused = score_all_fused(obs, &dense_mu, m);
     let sparse_fused = score_all_fused_sparse(row, mu);
-    let sparse_obs_fused = score_all_fused_sparse_obs(obs, mu);
     for i in 0..3 {
         assert_bits(dense_fused[i], sparse_fused[i], "fused sparse row");
-        assert_bits(dense_fused[i], sparse_obs_fused[i], "fused sparse obs");
     }
 }
 
@@ -160,8 +158,9 @@ fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
         .build()
         .unwrap();
     let knowledge = engine.knowledge().clone();
+    let m = knowledge.group_size();
     let network = lad_net::Network::generate(knowledge.clone(), 4242);
-    let mut requests = Vec::new();
+    let mut observations = Vec::new();
     let mut rows = ObservationBatch::new(knowledge.group_count());
     for i in 0..300u32 {
         let node = lad_net::NodeId(i * 3 % network.node_count() as u32);
@@ -171,20 +170,23 @@ fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
             -50.0 + (i as f64 * 29.3) % 500.0,
         );
         rows.push(&obs, at);
-        requests.push(DetectionRequest::new(obs, at));
+        observations.push(obs);
     }
-    // Three entry points, one answer: nested Vec batch, flat dense-request
-    // batch and flat CSR row batch.
-    let nested = engine.score_batch(&requests);
-    let mut flat_requests = Vec::new();
-    engine.score_batch_into(&requests, &mut flat_requests);
+    // The engine's CSR row batch against the dense oracle: each request's
+    // dense observation scored by the fused kernel over the dense µ.
     let mut flat_rows = Vec::new();
     engine.score_rows_into(&rows, &mut flat_rows);
-    assert_eq!(flat_rows, flat_requests);
+    let width = engine.metrics().len();
+    assert_eq!(flat_rows.len(), rows.len() * width);
+    for (r, (obs, row)) in observations.iter().zip(flat_rows.chunks(width)).enumerate() {
+        let dense = score_all_fused(obs, &knowledge.expected_observation(rows.estimate(r)), m);
+        for k in 0..width {
+            assert_bits(row[k], dense[k], &format!("row {r} metric {k}"));
+        }
+    }
     // The serve shard kernel: each single-metric column reproduces the
     // fused pass's column bit for bit (what lets a shard score only its
     // decision metric without changing any alarm decision).
-    let width = engine.metrics().len();
     for (k, &kind) in engine.metrics().iter().enumerate() {
         let mut one = vec![0.0; rows.len()];
         engine.score_rows_seq_one_into(&rows, kind, &mut one);
@@ -196,9 +198,6 @@ fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
                 kind.name()
             );
         }
-    }
-    for (row, nested_row) in flat_rows.chunks(engine.metrics().len()).zip(&nested) {
-        assert_eq!(row, nested_row.as_slice());
     }
 }
 
@@ -215,28 +214,23 @@ fn non_fused_engines_score_rows_identically_too() {
         .unwrap();
     let knowledge = engine.knowledge().clone();
     let n = knowledge.group_count();
+    let m = knowledge.group_size();
     let mut rows = ObservationBatch::new(n);
-    let mut requests = Vec::new();
+    let mut observations = Vec::new();
     for i in 0..40u32 {
         let obs = Observation::from_counts((0..n as u32).map(|g| (g + i) % 9).collect());
         let at = Point2::new((i as f64 * 31.7) % 400.0, (i as f64 * 17.3) % 400.0);
         rows.push(&obs, at);
-        requests.push(DetectionRequest::new(obs, at));
+        observations.push(obs);
     }
-    let mut flat_requests = Vec::new();
-    engine.score_batch_into(&requests, &mut flat_requests);
     let mut flat_rows = Vec::new();
     engine.score_rows_into(&rows, &mut flat_rows);
-    assert_eq!(flat_rows, flat_requests);
-    for (req, row) in requests.iter().zip(flat_rows.chunks(2)) {
-        let mu = knowledge.expected_observation(req.estimate);
-        let p =
-            MetricKind::Probability
-                .metric()
-                .score(&req.observation, &mu, knowledge.group_size());
-        let d = MetricKind::Diff
-            .metric()
-            .score(&req.observation, &mu, knowledge.group_size());
-        assert_eq!(row, [p, d]);
+    assert_eq!(flat_rows.len(), 2 * rows.len());
+    for (r, (obs, row)) in observations.iter().zip(flat_rows.chunks(2)).enumerate() {
+        let mu = knowledge.expected_observation(rows.estimate(r));
+        let p = MetricKind::Probability.metric().score(obs, &mu, m);
+        let d = MetricKind::Diff.metric().score(obs, &mu, m);
+        assert_bits(row[0], p, &format!("row {r} probability"));
+        assert_bits(row[1], d, &format!("row {r} diff"));
     }
 }
