@@ -13,13 +13,15 @@
 //! kernel's cold-round latency (one paper-scale round scored right after
 //! an 8 MiB cache-evicting sweep, beside the same round scored warm), and
 //! the paced serve round (`submit_rows` + `sync` of one paper-scale round
-//! after the shard has idled for 2.5 ms) — and writes the numbers to a
+//! after the shard has idled for 2.5 ms), and the uncached µ fill (the
+//! scalar g(z) map vs the dispatched lane kernel over the same gathered
+//! d²) — and writes the numbers to a
 //! `BENCH_<pr>.json` at the repo root, so every PR leaves a comparable
 //! perf record behind.
 //!
 //! ```text
 //! cargo run --release -p lad_bench --bin bench_snapshot -- \
-//!     [--out BENCH_16.json] [--quick] [--compare BENCH_16.json]
+//!     [--out BENCH_18.json] [--quick] [--compare BENCH_18.json]
 //! ```
 //!
 //! `--quick` shrinks iteration counts for CI; `--compare` prints
@@ -167,6 +169,33 @@ struct PacedSync {
     round_p99_us: f64,
 }
 
+/// The uncached µ fill at paper scale, over the 4096 estimates of the
+/// paper-scale traffic pool: the whole fill (gather + map), and its map
+/// phase alone — d² → µ = m · g(√d²) over each fill's gathered support,
+/// as a µ-cache miss runs it (from the gathered d² straight into another
+/// buffer) — once through the scalar `eval` loop and once through the
+/// dispatched kernel ([`PreparedGz::mu_into`]). Both maps are checked bit
+/// for bit against the fill's µ.
+///
+/// [`PreparedGz::mu_into`]: lad_deployment::PreparedGz::mu_into
+#[derive(Debug, Serialize)]
+struct MuFill {
+    /// Fills per timed pass.
+    fills_per_pass: usize,
+    /// Mean support size k per fill.
+    mean_support_k: f64,
+    /// Whether the dispatched kernel ran four AVX2 lanes.
+    avx2_lanes: bool,
+    /// Median ns per whole fill (`expected_sparse_into`: gather + map).
+    fill_ns: f64,
+    /// Median ns per fill of the map phase through the scalar `eval` loop.
+    map_scalar_ns: f64,
+    /// Median ns per fill of the map phase through the dispatched kernel.
+    map_dispatched_ns: f64,
+    /// map_scalar / map_dispatched.
+    map_speedup: f64,
+}
+
 /// The whole snapshot (`BENCH_<pr>.json`).
 #[derive(Debug, Serialize)]
 struct Snapshot {
@@ -195,6 +224,7 @@ struct Snapshot {
     wire_stage_latency: Vec<StageSummary>,
     serve_cold_round: ColdRound,
     serve_paced_sync: PacedSync,
+    mu_fill_paper_scale: MuFill,
 }
 
 /// Timing knobs: `--quick` shrinks every window so CI finishes in seconds.
@@ -206,6 +236,7 @@ struct Effort {
     wire_passes: u64,
     cold_rounds: usize,
     paced_rounds: usize,
+    fill_passes: usize,
 }
 
 impl Effort {
@@ -217,6 +248,7 @@ impl Effort {
             wire_passes: 48,
             cold_rounds: 400,
             paced_rounds: 400,
+            fill_passes: 200,
         }
     }
 
@@ -228,6 +260,7 @@ impl Effort {
             wire_passes: 8,
             cold_rounds: 64,
             paced_rounds: 100,
+            fill_passes: 20,
         }
     }
 }
@@ -619,6 +652,98 @@ fn serve_paced_sync(effort: Effort) -> PacedSync {
     }
 }
 
+/// Measures [`MuFill`]: each timed pass runs every estimate of the
+/// paper-scale pool through the whole fill and through both maps, in an
+/// order that alternates between passes; each figure is the median over
+/// passes.
+fn mu_fill_paper_scale(effort: Effort) -> MuFill {
+    let PaperRounds { engine, rounds, .. } = paper_rounds();
+    let knowledge = engine.knowledge();
+    let points = knowledge.layout().deployment_points();
+    let gz = knowledge.gz_table().prepared();
+    let m = knowledge.group_size() as f64;
+    let estimates: Vec<Point2> = rounds
+        .iter()
+        .flat_map(|(_, rows)| (0..rows.len()).map(|r| rows.estimate(r)))
+        .collect();
+    // Each fill's gathered d², in support order, as CSR.
+    let (mut d_sq, mut offsets) = (Vec::new(), vec![0]);
+    let mut smu = SparseMu::new();
+    for &theta in &estimates {
+        knowledge.expected_sparse_into(theta, &mut smu);
+        d_sq.extend(
+            smu.view()
+                .groups()
+                .iter()
+                .map(|&g| points[g as usize].distance_squared(theta)),
+        );
+        offsets.push(d_sq.len());
+    }
+    let mut work = vec![0.0; d_sq.len()];
+    let map_ns = |map: &dyn Fn(&[f64], &mut [f64]), work: &mut [f64]| {
+        let t0 = Instant::now();
+        for w in offsets.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            map(&d_sq[a..b], &mut work[a..b]);
+        }
+        black_box(&work);
+        t0.elapsed().as_nanos() as f64 / estimates.len() as f64
+    };
+    let scalar = |d_sq: &[f64], mu: &mut [f64]| {
+        for (mu, &d_sq) in mu.iter_mut().zip(d_sq) {
+            *mu = m * gz.eval(d_sq.sqrt());
+        }
+    };
+    let dispatched = |d_sq: &[f64], mu: &mut [f64]| gz.mu_into(m, d_sq, mu);
+    // Both maps must reproduce the fill's µ bit for bit.
+    let mut check = vec![0.0; d_sq.len()];
+    for (map, name) in [
+        (&scalar as &dyn Fn(&[f64], &mut [f64]), "scalar"),
+        (&dispatched, "dispatched"),
+    ] {
+        map_ns(map, &mut check);
+        for (r, &theta) in estimates.iter().enumerate() {
+            knowledge.expected_sparse_into(theta, &mut smu);
+            let got = &check[offsets[r]..offsets[r + 1]];
+            assert!(
+                got.iter()
+                    .zip(smu.view().values())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{name} map differs from the fill at estimate {r}"
+            );
+        }
+    }
+    let (mut fill, mut scalar_ns, mut dispatched_ns) = (Vec::new(), Vec::new(), Vec::new());
+    for pass in 0..effort.fill_passes {
+        let t0 = Instant::now();
+        for &theta in &estimates {
+            knowledge.expected_sparse_into(black_box(theta), &mut smu);
+        }
+        fill.push(t0.elapsed().as_nanos() as f64 / estimates.len() as f64);
+        if pass % 2 == 0 {
+            scalar_ns.push(map_ns(&scalar, &mut work));
+            dispatched_ns.push(map_ns(&dispatched, &mut work));
+        } else {
+            dispatched_ns.push(map_ns(&dispatched, &mut work));
+            scalar_ns.push(map_ns(&scalar, &mut work));
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (scalar_ns, dispatched_ns) = (median(scalar_ns), median(dispatched_ns));
+    MuFill {
+        fills_per_pass: estimates.len(),
+        mean_support_k: d_sq.len() as f64 / estimates.len() as f64,
+        avx2_lanes: lad_deployment::gz::avx2_lanes(),
+        fill_ns: median(fill),
+        map_scalar_ns: scalar_ns,
+        map_dispatched_ns: dispatched_ns,
+        map_speedup: scalar_ns / dispatched_ns,
+    }
+}
+
 /// A numeric metric extracted from a snapshot for `--compare`: name,
 /// value, and whether larger is better (throughput) or worse (ns, ratio).
 struct Metric {
@@ -694,6 +819,16 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
         Metric::new(
             "serve_paced_sync.round_p99_us",
             snap.serve_paced_sync.round_p99_us,
+            false,
+        ),
+        Metric::new(
+            "mu_fill_paper_scale.fill_ns",
+            snap.mu_fill_paper_scale.fill_ns,
+            false,
+        ),
+        Metric::new(
+            "mu_fill_paper_scale.map_dispatched_ns",
+            snap.mu_fill_paper_scale.map_dispatched_ns,
             false,
         ),
     ];
@@ -795,7 +930,7 @@ fn compare_snapshots(old_path: &str, snap: &Snapshot) -> usize {
 }
 
 fn main() {
-    let mut out = String::from("BENCH_16.json");
+    let mut out = String::from("BENCH_18.json");
     let mut quick = false;
     let mut compare: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -888,7 +1023,7 @@ fn main() {
             / overload_offered as f64,
     };
     let snapshot = Snapshot {
-        pr: 16,
+        pr: 18,
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -925,6 +1060,7 @@ fn main() {
         wire_stage_latency: wire_stages,
         serve_cold_round: serve_cold_round(effort),
         serve_paced_sync: serve_paced_sync(effort),
+        mu_fill_paper_scale: mu_fill_paper_scale(effort),
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&out, format!("{json}\n")).expect("snapshot written");

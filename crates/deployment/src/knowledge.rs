@@ -191,10 +191,8 @@ impl DeploymentKnowledge {
     /// sparse scoring kernels reproduce the dense scores bit for bit.
     pub fn expected_sparse_into(&self, theta: Point2, out: &mut SparseMu) {
         self.gather_support(theta, out);
-        let mu_of = self.mu_of_distance_sq();
-        for v in out.values_mut() {
-            *v = mu_of(*v);
-        }
+        let m = self.group_size() as f64;
+        self.gz.prepared().mu_in_place(m, out.values_mut());
     }
 
     /// Phase 1 of the sparse fill — gather: the support's group ids, each
@@ -227,14 +225,14 @@ impl DeploymentKnowledge {
         }
     }
 
-    /// Phase 2 of the sparse fill — the map from a gathered squared
-    /// distance to µ, applied in one tight branch-free loop so the
-    /// divisions inside the table interpolation pipeline across entries.
-    /// Same float program as `expected_iter`: µ = m · g(√d²).
-    fn mu_of_distance_sq(&self) -> impl Fn(f64) -> f64 + '_ {
+    /// Phase 2 of a cached fill — the map from the gathered squared
+    /// distances to µ, written straight into the cache slot
+    /// ([`PreparedGz::mu_into`](crate::PreparedGz::mu_into)). Same float
+    /// program as `expected_iter`: µ = m · g(√d²).
+    fn mu_of_distance_sq(&self) -> impl Fn(&[f64], &mut [f64]) + '_ {
         let m = self.group_size() as f64;
         let gz = self.gz.prepared();
-        move |d_sq| m * gz.eval(d_sq.sqrt())
+        move |d_sq, mu| gz.mu_into(m, d_sq, mu)
     }
 
     /// The sparse expected observation at `θ` as a fresh buffer. Thin

@@ -4,7 +4,10 @@
 //! repeat the same estimate bits (a node re-reporting its position, replayed
 //! rounds, stationary populations), and every repeat re-pays the support
 //! fill — the spatial-grid query plus ~k `√d²` → g(z)-table evaluations per
-//! report that BENCH_4/5/6 identify as the irreducible per-request floor.
+//! report, the per-request floor of BENCH_4/5/6. The evaluations are most
+//! of a fill's compute and run four lanes wide where the CPU allows
+//! ([`PreparedGz::mu_into`](crate::PreparedGz::mu_into)); a miss still
+//! pays them.
 //!
 //! [`MuCache`] removes that floor for repeated estimates. It is a bounded
 //! set-associative cache keyed on the **exact IEEE-754 bits** of the
@@ -66,14 +69,15 @@
 //! scored right after an 8 MiB sweep takes ~19–31% less time than the
 //! row loop in the same process; warm rounds are no slower.
 //!
-//! The prefetch is `_mm_prefetch` with the T0 hint, the crate's one
+//! The prefetch is `_mm_prefetch` with the T0 hint, this module's one
 //! `unsafe` block: Rust has no safe prefetch, and a prefetch is a hint
 //! that never faults and changes no architectural state. Off x86-64 it is
-//! a no-op. A safe variant that demand-loads the same lines (`black_box`
-//! reads) was measured in the same probe and rejected: in two of six runs
-//! it cut only ~5% where the prefetch cut ~25%. A demand load that misses
-//! must wait for its line before it can retire, so a few of them fill the
-//! out-of-order window; a prefetch retires at once.
+//! a no-op. (The crate's other `unsafe` code is the AVX2 g(z) kernel in
+//! [`crate::gz`].) A safe variant that demand-loads the same lines
+//! (`black_box` reads) was measured in the same probe and rejected: in
+//! two of six runs it cut only ~5% where the prefetch cut ~25%. A demand
+//! load that misses must wait for its line before it can retire, so a few
+//! of them fill the out-of-order window; a prefetch retires at once.
 //!
 //! [`DeploymentKnowledge::for_each_mu_cached`]: crate::DeploymentKnowledge::for_each_mu_cached
 
@@ -270,10 +274,11 @@ impl MuCache {
 
     /// Returns the memoized `µ(θ)`, producing it on a miss in two phases:
     /// `gather` fills the cache's scratch with the support's group ids and
-    /// one intermediate value per entry, then `map` turns each intermediate
-    /// value into µ as it is written into the victim slot's exact-size
-    /// arrays (the slot's possibly cold memory is written inside the
-    /// compute loop, not by a separate copy).
+    /// one intermediate value per entry, then the ids are copied into the
+    /// victim slot's exact-size arrays and `map(intermediate, µ)` writes
+    /// µ for the whole slice straight into the slot (so it can run several
+    /// entries per step, and the slot's possibly cold memory is written
+    /// once).
     ///
     /// The hit path compares the exact estimate bits, so whatever `gather`
     /// and `map` produced for those bits is returned unchanged — the
@@ -282,7 +287,7 @@ impl MuCache {
     pub fn get_or_fill<G, M>(&mut self, theta: Point2, gather: G, map: M) -> MuView<'_>
     where
         G: FnOnce(&mut SparseMu),
-        M: Fn(f64) -> f64,
+        M: Fn(&[f64], &mut [f64]),
     {
         let key = key_of(theta);
         self.get_or_fill_in(self.set_of(key), key, gather, map)
@@ -306,7 +311,7 @@ impl MuCache {
         mut f: F,
     ) where
         G: Fn(Point2, &mut SparseMu),
-        M: Fn(f64) -> f64,
+        M: Fn(&[f64], &mut [f64]),
         F: FnMut(usize, MuView<'_>),
     {
         // (key, set) of rows r .. r + PREFETCH_SET_AHEAD, indexed by row
@@ -391,7 +396,7 @@ impl MuCache {
     fn get_or_fill_in<G, M>(&mut self, set: usize, key: [u64; 2], gather: G, map: M) -> MuView<'_>
     where
         G: FnOnce(&mut SparseMu),
-        M: Fn(f64) -> f64,
+        M: Fn(&[f64], &mut [f64]),
     {
         let hit = self.hit_way(set, key);
         let state = &mut self.state[set];
@@ -412,9 +417,7 @@ impl MuCache {
                 let held = &mut self.held[set].0[way];
                 Self::resize_exact(held, src.len(), &mut self.spare);
                 held.groups.copy_from_slice(src.groups());
-                for (mu, &v) in held.values.iter_mut().zip(src.values()) {
-                    *mu = map(v);
-                }
+                map(src.values(), &mut held.values);
                 way
             }
         };
@@ -475,6 +478,11 @@ impl MuCache {
 mod tests {
     use super::*;
 
+    /// The identity map: the slot keeps the gathered values.
+    fn copy(src: &[f64], dst: &mut [f64]) {
+        dst.copy_from_slice(src);
+    }
+
     fn fill_tagged(tag: u32) -> impl FnOnce(&mut SparseMu) {
         move |out: &mut SparseMu| {
             *out = SparseMu::from_entries(vec![(tag, tag as f64)], 100, 10);
@@ -486,13 +494,13 @@ mod tests {
         let mut cache = MuCache::new(8);
         let theta = Point2::new(12.5, -3.25);
         let first: Vec<_> = cache
-            .get_or_fill(theta, fill_tagged(1), |v| v)
+            .get_or_fill(theta, fill_tagged(1), copy)
             .iter()
             .collect();
         // A second lookup must not call fill again (fill_tagged(2) would
         // overwrite the entry if it ran).
         let second: Vec<_> = cache
-            .get_or_fill(theta, fill_tagged(2), |v| v)
+            .get_or_fill(theta, fill_tagged(2), copy)
             .iter()
             .collect();
         assert_eq!(first, second);
@@ -504,8 +512,8 @@ mod tests {
         let mut cache = MuCache::new(8);
         let a = Point2::new(1.0, 2.0);
         let b = Point2::new(1.0, 2.0f64.next_up());
-        cache.get_or_fill(a, fill_tagged(1), |v| v);
-        let at_b: Vec<_> = cache.get_or_fill(b, fill_tagged(2), |v| v).iter().collect();
+        cache.get_or_fill(a, fill_tagged(1), copy);
+        let at_b: Vec<_> = cache.get_or_fill(b, fill_tagged(2), copy).iter().collect();
         assert_eq!(at_b, [(2, 2.0)]);
         assert_eq!(cache.misses(), 2);
     }
@@ -519,7 +527,7 @@ mod tests {
         for round in 0..3u32 {
             for i in 0..6u32 {
                 let theta = Point2::new(i as f64, 0.0);
-                let got = cache.get_or_fill(theta, fill_tagged(i), |v| v);
+                let got = cache.get_or_fill(theta, fill_tagged(i), copy);
                 assert_eq!(got.groups(), &[i], "round {round} key {i}");
                 assert_eq!(got.values(), &[i as f64], "round {round} key {i}");
                 assert_eq!((got.group_count(), got.group_size()), (100, 10));
@@ -534,15 +542,15 @@ mod tests {
     fn take_stats_drains_and_resets() {
         let mut cache = MuCache::new(4);
         let theta = Point2::new(5.0, 5.0);
-        cache.get_or_fill(theta, fill_tagged(1), |v| v);
-        cache.get_or_fill(theta, fill_tagged(1), |v| v);
+        cache.get_or_fill(theta, fill_tagged(1), copy);
+        cache.get_or_fill(theta, fill_tagged(1), copy);
         assert_eq!(cache.take_stats(), (1, 1));
         assert_eq!(cache.take_stats(), (0, 0));
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
         // Cleared entries miss again.
-        cache.get_or_fill(theta, fill_tagged(1), |v| v);
+        cache.get_or_fill(theta, fill_tagged(1), copy);
         assert_eq!(cache.take_stats(), (0, 1));
     }
 
@@ -554,16 +562,16 @@ mod tests {
                 *out = SparseMu::from_entries((0..k).map(|g| (g, 1.0)).collect(), 100, 10)
             }
         };
-        cache.get_or_fill(Point2::new(1.0, 0.0), fill_k(3), |v| v);
-        cache.get_or_fill(Point2::new(2.0, 0.0), fill_k(5), |v| v);
-        cache.get_or_fill(Point2::new(3.0, 0.0), fill_k(0), |v| v);
+        cache.get_or_fill(Point2::new(1.0, 0.0), fill_k(3), copy);
+        cache.get_or_fill(Point2::new(2.0, 0.0), fill_k(5), copy);
+        cache.get_or_fill(Point2::new(3.0, 0.0), fill_k(0), copy);
         assert_eq!(cache.held_entries(), 8);
         assert_eq!(cache.len(), 3);
         cache.clear();
         assert_eq!(cache.held_entries(), 0);
         assert_eq!(
             cache
-                .get_or_fill(Point2::new(2.0, 0.0), fill_k(2), |v| v)
+                .get_or_fill(Point2::new(2.0, 0.0), fill_k(2), copy)
                 .len(),
             2
         );

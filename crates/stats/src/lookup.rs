@@ -99,7 +99,7 @@ pub struct PreparedLookup<'a> {
     values: &'a [f64],
 }
 
-impl PreparedLookup<'_> {
+impl<'a> PreparedLookup<'a> {
     /// Linear interpolation at `x`, clamped to the endpoint values outside
     /// `[min, max]`. Bit-identical to [`LookupTable::eval`].
     #[inline(always)]
@@ -117,6 +117,19 @@ impl PreparedLookup<'_> {
         let hi = (lo + 1).min(self.last);
         let frac = t - lo as f64;
         self.values[lo] * (1.0 - frac) + self.values[hi] * frac
+    }
+
+    /// The constants of [`Self::eval`]'s float program, `(min, max, span,
+    /// ω)`, for kernels that run it over several lanes at once.
+    #[inline]
+    pub fn constants(&self) -> (f64, f64, f64, f64) {
+        (self.min, self.max, self.span, self.omega)
+    }
+
+    /// The `ω + 1` tabulated samples.
+    #[inline]
+    pub fn values(&self) -> &'a [f64] {
+        self.values
     }
 }
 

@@ -80,7 +80,8 @@ struct ServerShared {
     shutdown: AtomicBool,
     poll_interval: Duration,
     drain_grace: Duration,
-    /// Reader threads of accepted connections. Joined on shutdown.
+    /// Reader threads of live connections (plus those that ended since
+    /// the last accept). Joined on shutdown.
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -179,7 +180,9 @@ impl WireServer {
 }
 
 /// Polls a nonblocking `accept` until the shutdown flag flips, spawning a
-/// reader thread per connection.
+/// reader thread per connection. Connections that have ended are joined
+/// at each accept, so the handle list tracks the live connections, not
+/// every connection the server has ever taken.
 fn accept_loop<S>(shared: &Arc<ServerShared>, mut accept: impl FnMut() -> std::io::Result<S>)
 where
     S: ConnStream + Send + 'static,
@@ -191,7 +194,11 @@ where
                 let handle = std::thread::spawn(move || {
                     serve_conn(&shared2, stream);
                 });
-                shared.conns.lock().expect("conns lock").push(handle);
+                let mut conns = shared.conns.lock().expect("conns lock");
+                for ended in conns.extract_if(.., |conn| conn.is_finished()) {
+                    let _ = ended.join();
+                }
+                conns.push(handle);
             }
             // WouldBlock is the idle case; other accept errors (e.g. a peer
             // resetting mid-handshake) are transient and must not kill the
@@ -389,5 +396,52 @@ fn serve_conn<S: ConnStream>(shared: &ServerShared, mut stream: S) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::WireClient;
+    use lad_core::{LadEngine, MetricKind};
+    use lad_deployment::DeploymentConfig;
+    use lad_serve::ServeConfig;
+    use lad_stats::SequentialDetector;
+
+    #[test]
+    fn finished_connections_do_not_accumulate() {
+        const CYCLES: usize = 200;
+        const SLACK: usize = 4;
+        let engine = Arc::new(
+            LadEngine::builder()
+                .deployment(&DeploymentConfig::small_test())
+                .metrics(&[MetricKind::Diff])
+                .score_only()
+                .build()
+                .unwrap(),
+        );
+        let detector = SequentialDetector::Cusum {
+            reference: 1.0,
+            threshold: 10.0,
+        };
+        let config = ServeConfig::new(MetricKind::Diff, detector);
+        let runtime = Arc::new(ServeRuntime::start(engine, config).unwrap());
+        let server = WireServer::start(runtime, WireServerConfig::tcp("127.0.0.1:0")).unwrap();
+        let addr = server.tcp_addr().unwrap();
+        for cycle in 0..CYCLES {
+            // A stats round trip proves the server took the connection
+            // before the client closes it.
+            let mut client = WireClient::connect_tcp(addr).unwrap();
+            client.query_stats().unwrap();
+            drop(client);
+            // One connection is live at most (the one just closed, until
+            // its reader sees EOF), plus the slack.
+            let tracked = server.shared.conns.lock().unwrap().len();
+            assert!(
+                tracked <= 1 + SLACK,
+                "cycle {cycle}: {tracked} reader handles tracked"
+            );
+        }
+        server.shutdown();
     }
 }
