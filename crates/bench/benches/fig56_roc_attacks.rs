@@ -2,9 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lad_attack::AttackClass;
-use lad_bench::{bench_cache, bench_config, bench_context};
+use lad_bench::{bench_cache, bench_config, bench_point};
 use lad_core::MetricKind;
 use lad_eval::experiments::fig56_roc_attacks;
+use lad_eval::scenario::ScenarioRunner;
 
 fn bench_fig56(c: &mut Criterion) {
     let base = bench_config();
@@ -20,11 +21,12 @@ fn bench_fig56(c: &mut Criterion) {
     group.bench_function("full_figure", |b| {
         b.iter(|| fig56_roc_attacks(&base, &cache))
     });
-    let ctx = bench_context();
+    let point = bench_point(MetricKind::Diff, AttackClass::DecOnly, 80.0, 0.10);
     group.bench_function("dec_only_point_d80", |b| {
         b.iter(|| {
-            ctx.score_set(MetricKind::Diff, AttackClass::DecOnly, 80.0, 0.10)
-                .roc()
+            let result = ScenarioRunner::with_cache(&point, &cache).run();
+            let dep = result.single();
+            dep.roc(&dep.cells[0])
         })
     });
     group.finish();

@@ -2,9 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lad_attack::AttackClass;
-use lad_bench::{bench_cache, bench_config, bench_context};
+use lad_bench::{bench_cache, bench_config, bench_point};
 use lad_core::MetricKind;
 use lad_eval::experiments::fig7_dr_vs_damage;
+use lad_eval::scenario::ScenarioRunner;
 
 fn bench_fig7(c: &mut Criterion) {
     let base = bench_config();
@@ -25,9 +26,13 @@ fn bench_fig7(c: &mut Criterion) {
     group.bench_function("full_figure", |b| {
         b.iter(|| fig7_dr_vs_damage(&base, &cache))
     });
-    let ctx = bench_context();
+    let point = bench_point(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10);
     group.bench_function("single_dr_point", |b| {
-        b.iter(|| ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10, 0.01))
+        b.iter(|| {
+            let result = ScenarioRunner::with_cache(&point, &cache).run();
+            let dep = result.single();
+            dep.detection_rate(&dep.cells[0], 0.01)
+        })
     });
     group.finish();
 }

@@ -2,9 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lad_attack::AttackClass;
-use lad_bench::{bench_cache, bench_config, bench_context};
+use lad_bench::{bench_cache, bench_config, bench_point};
 use lad_core::MetricKind;
 use lad_eval::experiments::fig8_dr_vs_compromise;
+use lad_eval::scenario::ScenarioRunner;
 
 fn bench_fig8(c: &mut Criterion) {
     let base = bench_config();
@@ -25,9 +26,13 @@ fn bench_fig8(c: &mut Criterion) {
     group.bench_function("full_figure", |b| {
         b.iter(|| fig8_dr_vs_compromise(&base, &cache))
     });
-    let ctx = bench_context();
+    let point = bench_point(MetricKind::Diff, AttackClass::DecBounded, 160.0, 0.50);
     group.bench_function("single_dr_point_x50", |b| {
-        b.iter(|| ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 160.0, 0.50, 0.01))
+        b.iter(|| {
+            let result = ScenarioRunner::with_cache(&point, &cache).run();
+            let dep = result.single();
+            dep.detection_rate(&dep.cells[0], 0.01)
+        })
     });
     group.finish();
 }

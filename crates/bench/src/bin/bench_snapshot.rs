@@ -33,7 +33,7 @@
 use lad_core::engine::LadEngine;
 use lad_core::expected::rounded_expected;
 use lad_core::metrics::{score_all_fused, score_all_fused_sparse};
-use lad_core::{ExpectedObservation, MetricKind};
+use lad_core::MetricKind;
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
 use lad_geometry::Point2;
 use lad_net::{Network, NodeId, ObservationBatch};
@@ -288,10 +288,10 @@ fn kernel_scale(effort: Effort, cfg: &DeploymentConfig, at: Point2, obs_at: Poin
     knowledge.expected_sparse_into(at, &mut smu);
     let support = smu.len();
 
-    let mut dense = ExpectedObservation::new();
+    let mut dense = Vec::new();
     let dense_ns = time_ns(effort, || {
-        dense.fill(&knowledge, black_box(at));
-        score_all_fused(black_box(&obs), dense.mu(), cfg.group_size)[0]
+        knowledge.expected_observation_into(black_box(at), &mut dense);
+        score_all_fused(black_box(&obs), &dense, cfg.group_size)[0]
     });
     let sparse_ns = time_ns(effort, || {
         knowledge.expected_sparse_into(black_box(at), &mut smu);

@@ -6,8 +6,10 @@
 //! Figure benches share one [`SubstrateCache`] so the standard deployment
 //! point is simulated once per bench process.
 
-use lad_eval::scenario::{Substrate, SubstrateCache};
-use lad_eval::{EvalConfig, EvalContext};
+use lad_attack::AttackClass;
+use lad_core::MetricKind;
+use lad_eval::scenario::{ParamGrid, ScenarioSpec, Substrate, SubstrateCache};
+use lad_eval::EvalConfig;
 use std::sync::Arc;
 
 /// The reduced evaluation configuration every figure bench uses.
@@ -25,10 +27,23 @@ pub fn bench_substrate(cache: &SubstrateCache) -> Arc<Substrate> {
     lad_eval::experiments::standard_substrate(&bench_config(), cache)
 }
 
-/// A buffered evaluation context at reduced scale (the raw-score
-/// compatibility layer; used by benches that sweep single points).
-pub fn bench_context() -> EvalContext {
-    EvalContext::new(bench_config())
+/// A one-cell scenario on the standard reduced-scale deployment: what the
+/// figure benches' single-point cases run, sharing the figure's substrate
+/// through the bench cache.
+pub fn bench_point(
+    metric: MetricKind,
+    class: AttackClass,
+    damage: f64,
+    fraction: f64,
+) -> ScenarioSpec {
+    let base = bench_config();
+    ScenarioSpec::new(
+        "bench_point",
+        "single bench point",
+        lad_eval::experiments::standard_axis(&base),
+        ParamGrid::single(metric, class, damage, fraction),
+        base.sampling_plan(),
+    )
 }
 
 /// An installed-but-idle response filter for serve-path overhead
@@ -53,13 +68,12 @@ pub fn idle_response_filter() -> lad_serve::ResponseFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lad_core::MetricKind;
 
     #[test]
-    fn bench_context_is_small_but_nonempty() {
-        let ctx = bench_context();
-        assert!(!ctx.clean_scores(MetricKind::Diff).is_empty());
-        assert!(ctx.knowledge().config().total_nodes() < 5000);
+    fn bench_substrate_is_small_but_nonempty() {
+        let substrate = bench_substrate(&bench_cache());
+        assert!(substrate.clean(MetricKind::Diff).count() > 0);
+        assert!(substrate.knowledge().config().total_nodes() < 5000);
     }
 
     #[test]

@@ -47,7 +47,6 @@
 //! assert_eq!(verdicts[0].verdicts.len(), 3); // one per configured metric
 //! ```
 
-use crate::detector::{LadDetector, Verdict};
 use crate::metrics::{DetectionMetric, MetricKind};
 use crate::threshold::TrainedThresholds;
 use crate::training::{Trainer, TrainingConfig};
@@ -125,6 +124,20 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// The result of running LAD with one metric on one (observation,
+/// estimated location) pair.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Verdict {
+    /// Which metric produced the verdict.
+    pub metric: MetricKind,
+    /// The anomaly score of the pair (larger = more anomalous).
+    pub score: f64,
+    /// The detection threshold in force.
+    pub threshold: f64,
+    /// Whether an alarm is raised (`score > threshold`).
+    pub anomalous: bool,
+}
+
 /// The engine's answer for one row: one [`Verdict`] per configured
 /// metric plus the overall alarm (any metric over threshold).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -157,8 +170,8 @@ pub struct EngineArtifact {
     pub deployment: DeploymentConfig,
     /// Training procedure parameters (kept for re-training / provenance).
     pub training: TrainingConfig,
-    /// The clean-score distributions training produced (kept so detectors at
-    /// other τ can be re-derived without retraining).
+    /// The clean-score distributions training produced (kept so thresholds
+    /// at other τ can be re-derived without retraining).
     pub trained: TrainedThresholds,
     /// Configured metrics, in scoring order.
     pub metrics: Vec<MetricKind>,
@@ -404,8 +417,8 @@ impl LadEngine {
         self.artifact.tau
     }
 
-    /// The trained clean-score distributions (re-derive detectors at another
-    /// τ without retraining).
+    /// The trained clean-score distributions (re-derive thresholds at
+    /// another τ without retraining).
     pub fn trained(&self) -> &TrainedThresholds {
         &self.artifact.trained
     }
@@ -423,19 +436,6 @@ impl LadEngine {
     /// Position of `metric` in the engine's scoring order.
     pub fn metric_index(&self, metric: MetricKind) -> Option<usize> {
         self.artifact.metrics.iter().position(|&m| m == metric)
-    }
-
-    /// A single-metric [`LadDetector`] at the engine's operating point (for
-    /// interop with the pre-engine API).
-    ///
-    /// # Panics
-    /// Panics on a score-only engine.
-    pub fn detector(&self, metric: MetricKind) -> LadDetector {
-        let idx = self
-            .metric_index(metric)
-            .unwrap_or_else(|| panic!("metric {} is not configured", metric.name()));
-        self.assert_verifiable();
-        LadDetector::new(metric, self.artifact.thresholds[idx])
     }
 
     // ---- the hot path ------------------------------------------------------
@@ -947,24 +947,83 @@ mod tests {
     }
 
     #[test]
-    fn score_rows_into_matches_per_metric_score_at() {
+    fn score_rows_into_matches_the_dense_per_metric_score() {
         let engine = engine();
         let knowledge = engine.knowledge();
         let obs = Observation::from_counts(vec![2; knowledge.group_count()]);
         let at = Point2::new(150.0, 220.0);
+        let mu = knowledge.expected_observation(at);
         let mut rows = ObservationBatch::new(knowledge.group_count());
         rows.push(&obs, at);
         let mut scores = Vec::new();
         engine.score_rows_into(&rows, &mut scores);
         assert_eq!(scores.len(), 3);
         for (i, kind) in MetricKind::ALL.into_iter().enumerate() {
-            let single = kind.metric().score_at(knowledge, &obs, at);
-            assert!(
-                (scores[i] - single).abs() < 1e-12,
-                "{}: batched {} vs single {single}",
-                kind.name(),
-                scores[i]
-            );
+            let single = kind.metric().score(&obs, &mu, knowledge.group_size());
+            assert_eq!(scores[i], single, "{}: batched vs dense", kind.name());
+        }
+    }
+
+    #[test]
+    fn clean_nodes_rarely_alarm_at_high_tau() {
+        let engine = engine();
+        let knowledge = engine.knowledge();
+        let network = Network::generate(knowledge.clone(), 1234);
+        let mut alarms = 0usize;
+        let mut total = 0usize;
+        for i in (0..network.node_count()).step_by(11) {
+            let obs = network.true_observation(NodeId(i as u32));
+            let Some(est) = engine.localizer().estimate(knowledge, &obs) else {
+                continue;
+            };
+            total += 1;
+            let verdict = engine.verify(&obs, est);
+            if verdict.verdict(MetricKind::Diff).unwrap().anomalous {
+                alarms += 1;
+            }
+        }
+        assert!(total > 50);
+        let fp = alarms as f64 / total as f64;
+        assert!(fp < 0.08, "clean false-positive rate too high: {fp}");
+    }
+
+    #[test]
+    fn grossly_displaced_location_alarms() {
+        let engine = engine();
+        // Observation consistent with (100, 100) but claimed location far away.
+        let truth = Point2::new(100.0, 100.0);
+        let obs =
+            crate::expected::rounded_expected(&engine.knowledge().expected_observation(truth));
+        let forged = engine.verify(&obs, Point2::new(320.0, 320.0));
+        let diff = forged.verdict(MetricKind::Diff).unwrap();
+        assert!(
+            diff.anomalous,
+            "score {} threshold {}",
+            diff.score, diff.threshold
+        );
+        // The same observation at the true location is not anomalous.
+        let clean = engine.verify(&obs, truth);
+        assert!(!clean.verdict(MetricKind::Diff).unwrap().anomalous);
+    }
+
+    #[test]
+    fn verdict_fields_are_consistent() {
+        let engine = engine();
+        let obs = crate::expected::rounded_expected(
+            &engine
+                .knowledge()
+                .expected_observation(Point2::new(150.0, 150.0)),
+        );
+        let verdict = engine.verify(&obs, Point2::new(250.0, 250.0));
+        for ((v, &kind), &threshold) in verdict
+            .verdicts
+            .iter()
+            .zip(engine.metrics())
+            .zip(engine.thresholds())
+        {
+            assert_eq!(v.metric, kind);
+            assert_eq!(v.threshold, threshold);
+            assert_eq!(v.anomalous, v.score > v.threshold);
         }
     }
 
@@ -1020,6 +1079,20 @@ mod tests {
             result.is_err(),
             "verify_rows on a score-only engine must panic"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "score-only engine has no thresholds")]
+    fn verify_without_trained_thresholds_panics() {
+        // No metric is trained, so there is no threshold to compare with.
+        let engine = LadEngine::builder()
+            .deployment(&DeploymentConfig::small_test())
+            .metric(MetricKind::Diff)
+            .score_only()
+            .build()
+            .unwrap();
+        let obs = Observation::zeros(engine.knowledge().group_count());
+        let _ = engine.verify(&obs, Point2::new(100.0, 100.0));
     }
 
     #[test]

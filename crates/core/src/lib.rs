@@ -17,7 +17,10 @@
 //! ([`lad_net::ObservationBatch`]) against the sparse support of `µ(L_e)`,
 //! computed once per estimate, fans batches out over worker threads,
 //! accepts any localization scheme as a trait object, and serialises to
-//! versioned artifacts.
+//! versioned artifacts. It is the only detector: [`LadEngine::verify`] and
+//! [`LadEngine::verify_rows`] return one [`Verdict`] per metric. The dense
+//! [`DetectionMetric::score`] and [`metrics::score_all_fused`] kernels stay
+//! as the reference the sparse kernels are tested against.
 //!
 //! # Quick example
 //!
@@ -61,29 +64,26 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod detector;
 pub mod engine;
 pub mod expected;
 pub mod metrics;
 pub mod threshold;
 pub mod training;
 
-pub use detector::{LadDetector, Verdict};
 pub use engine::{
     EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme, MultiVerdict,
+    Verdict,
 };
-pub use expected::ExpectedObservation;
 pub use metrics::{AddAllMetric, DetectionMetric, DiffMetric, MetricKind, ProbabilityMetric};
 pub use threshold::TrainedThresholds;
 pub use training::{Trainer, TrainingConfig};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::detector::{LadDetector, Verdict};
     pub use crate::engine::{
         EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme, MultiVerdict,
+        Verdict,
     };
-    pub use crate::expected::ExpectedObservation;
     pub use crate::metrics::{
         AddAllMetric, DetectionMetric, DiffMetric, MetricKind, ProbabilityMetric,
     };

@@ -7,9 +7,8 @@
 //! anomaly) is mapped to a score by negating the log of the smallest
 //! per-group likelihood.
 
-use crate::expected::{l1_deviation, ExpectedObservation};
-use lad_deployment::{DeploymentKnowledge, MuView};
-use lad_geometry::Point2;
+use crate::expected::l1_deviation;
+use lad_deployment::MuView;
 use lad_net::{ObsRow, Observation};
 use lad_stats::Binomial;
 use serde::{Deserialize, Serialize};
@@ -62,37 +61,14 @@ pub trait DetectionMetric: Send + Sync {
     /// `mu`, where `group_size` is the per-group node count `m`.
     fn score(&self, obs: &Observation, mu: &[f64], group_size: usize) -> f64;
 
-    /// Scores `obs` against a pre-computed dense expected observation:
-    /// `µ(L_e)` is computed once per estimate (see [`ExpectedObservation`])
-    /// and shared by every metric, instead of being recomputed per metric
-    /// as [`Self::score_at`] does.
-    fn score_from_expected(&self, expected: &ExpectedObservation, obs: &Observation) -> f64 {
-        self.score(obs, expected.mu(), expected.group_size())
-    }
-
     /// Scores a sparse batch row against a sparse expected observation in
     /// O(k + nnz) — k support groups plus the observation's nonzeros —
     /// instead of O(n).
     ///
-    /// Bit-identical to densifying both sides and calling [`Self::score`]
-    /// (see the [sparse-kernel notes](score_all_fused_sparse)). The default
-    /// implementation does exactly that densification as a correctness
-    /// fallback; the three built-in metrics override it with allocation-free
-    /// sparse kernels.
-    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
-        self.score(&row.to_observation(), &mu.to_dense(), mu.group_size())
-    }
-
-    /// Convenience: compute `µ(L_e)` from the knowledge and score against it.
-    fn score_at(
-        &self,
-        knowledge: &DeploymentKnowledge,
-        obs: &Observation,
-        estimate: Point2,
-    ) -> f64 {
-        let mu = knowledge.expected_observation(estimate);
-        self.score(obs, &mu, knowledge.group_size())
-    }
+    /// Must be bit-identical to densifying both sides and calling
+    /// [`Self::score`] (see the [sparse-kernel notes](score_all_fused_sparse));
+    /// `tests/sparse_exactness.rs` asserts it for every [`MetricKind`].
+    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64;
 }
 
 /// Visits `(o_i, µ_i)` for every group in `support(µ) ∪ nonzero(o)`, in
@@ -543,7 +519,8 @@ impl FusedAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lad_deployment::DeploymentConfig;
+    use lad_deployment::{DeploymentConfig, DeploymentKnowledge};
+    use lad_geometry::Point2;
     use proptest::prelude::*;
 
     fn mu_and_matching_obs() -> (Vec<f64>, Observation) {
@@ -632,10 +609,11 @@ mod tests {
         let p = Point2::new(150.0, 250.0);
         let mu = k.expected_observation(p);
         let obs = crate::expected::rounded_expected(&mu);
+        let m = k.group_size();
         // An observation that matches the expectation at P scores low at P …
-        let at_p = DiffMetric.score_at(&k, &obs, p);
+        let at_p = DiffMetric.score(&obs, &mu, m);
         // … and much higher at a distant point Q.
-        let at_q = DiffMetric.score_at(&k, &obs, Point2::new(350.0, 50.0));
+        let at_q = DiffMetric.score(&obs, &k.expected_observation(Point2::new(350.0, 50.0)), m);
         assert!(
             at_p < at_q,
             "diff at P {at_p} should be below diff at Q {at_q}"
@@ -650,10 +628,13 @@ mod tests {
         let truth = Point2::new(200.0, 200.0);
         let mu_truth = k.expected_observation(truth);
         let obs = crate::expected::rounded_expected(&mu_truth);
+        let m = k.group_size();
+        let mu_near = k.expected_observation(Point2::new(210.0, 205.0));
+        let mu_far = k.expected_observation(Point2::new(360.0, 40.0));
         for kind in MetricKind::ALL {
             let metric = kind.metric();
-            let near = metric.score_at(&k, &obs, Point2::new(210.0, 205.0));
-            let far = metric.score_at(&k, &obs, Point2::new(360.0, 40.0));
+            let near = metric.score(&obs, &mu_near, m);
+            let far = metric.score(&obs, &mu_far, m);
             assert!(
                 far > near,
                 "{}: far score {far} should exceed near score {near}",

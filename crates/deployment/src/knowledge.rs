@@ -148,20 +148,22 @@ impl DeploymentKnowledge {
         mu
     }
 
-    /// Computes `µ(θ)` into `out`, reusing its allocation. This is the
-    /// allocation-free variant batch evaluation hot paths (the
-    /// `lad_core::engine::LadEngine` scratch buffers) build on.
+    /// Computes `µ(θ)` into `out`, reusing its allocation: the dense
+    /// O(n) fill behind the test oracles, the attack simulation and the
+    /// serving traffic model (the engine scores sparse, through
+    /// [`Self::expected_sparse_into`]).
+    ///
+    /// Consumes [`Self::expected_iter`], whose squared-distance early-out
+    /// skips the `sqrt` and table lookup beyond the g(z) tail; a buffer
+    /// that is already sized is overwritten in place.
     pub fn expected_observation_into(&self, theta: Point2, out: &mut Vec<f64>) {
-        let m = self.group_size() as f64;
-        let n = self.group_count();
-        // In-place overwrite when the buffer is already sized (the steady
-        // state of a reused scratch buffer): no capacity checks per group.
-        if out.len() != n {
+        if out.len() == self.group_count() {
+            for (slot, value) in out.iter_mut().zip(self.expected_iter(theta)) {
+                *slot = value;
+            }
+        } else {
             out.clear();
-            out.resize(n, 0.0);
-        }
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = m * self.g_i(i, theta);
+            out.extend(self.expected_iter(theta));
         }
     }
 
@@ -464,11 +466,25 @@ mod tests {
     #[test]
     fn g_iter_matches_g_i_bit_for_bit() {
         let k = knowledge();
-        let theta = Point2::new(217.0, 488.0);
-        let iterated: Vec<f64> = k.g_iter(theta).collect();
-        assert_eq!(iterated, k.g_all(theta));
-        for (i, &g) in iterated.iter().enumerate() {
-            assert_eq!(g, k.g_i(i, theta), "group {i}");
+        // Boundary probes: θ at distance exactly z_max from a deployment
+        // point, where the early-out `d² ≥ z_max²` and `g_i`'s `√d² ≥ z_max`
+        // must agree, and the neighbouring f64 on each side.
+        let dp = k.layout().deployment_point(55);
+        let z_max = k.support_radius();
+        let edge = Point2::new(dp.x + z_max, dp.y);
+        assert_eq!(dp.distance(edge), z_max, "probe sits on the support edge");
+        let inside = Point2::new(f64::from_bits(edge.x.to_bits() - 1), dp.y);
+        let outside = Point2::new(f64::from_bits(edge.x.to_bits() + 1), dp.y);
+        assert!(dp.distance(inside) < z_max && dp.distance(outside) > z_max);
+        let m = k.group_size() as f64;
+        for theta in [Point2::new(217.0, 488.0), edge, inside, outside] {
+            let iterated: Vec<f64> = k.g_iter(theta).collect();
+            assert_eq!(iterated, k.g_all(theta));
+            let mu = k.expected_observation(theta);
+            for (i, &g) in iterated.iter().enumerate() {
+                assert_eq!(g, k.g_i(i, theta), "group {i} at {theta:?}");
+                assert_eq!(mu[i], m * k.g_i(i, theta), "µ of group {i} at {theta:?}");
+            }
         }
     }
 

@@ -57,9 +57,12 @@
 //! ```
 //!
 //! The shared machinery lives in [`scenario`] (specs, substrates, the
-//! grid-parallel runner), [`runner`] (the buffered [`EvalContext`]
-//! compatibility layer), [`report`] (figure/series containers with CSV and
-//! Markdown output) and [`config`] (quick / paper-scale presets). The
+//! grid-parallel runner), [`report`] (figure/series containers with CSV and
+//! Markdown output) and [`config`] (quick / paper-scale presets). A
+//! scenario with an exact accumulator layout
+//! ([`lad_stats::AccumulatorConfig::exact`]) keeps every score, which is
+//! the buffered evaluation; the default layout streams into O(bins)
+//! memory. The
 //! `reproduce` binary drives everything and writes the artefacts consumed
 //! by `EXPERIMENTS.md`.
 //!
@@ -72,10 +75,8 @@
 pub mod config;
 pub mod experiments;
 pub mod report;
-pub mod runner;
 pub mod scenario;
 
 pub use config::EvalConfig;
 pub use report::{FigureReport, Series};
-pub use runner::{EvalContext, ScoreSet};
 pub use scenario::{ScenarioRunner, ScenarioSpec, SubstrateCache};

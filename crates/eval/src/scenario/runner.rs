@@ -301,6 +301,72 @@ mod tests {
         assert!(Arc::ptr_eq(&a.single().substrate, &b.single().substrate));
     }
 
+    /// The Diff detection rate at FP ≤ 5% of each `(attack, damage)` cell at
+    /// fraction 0.1, with exact accumulators.
+    fn exact_diff_detection_rates(attacks: &[AttackClass], damages: &[f64]) -> Vec<f64> {
+        let mut spec = tiny_spec().with_accumulator(AccumulatorConfig::exact());
+        spec.grid = ParamGrid {
+            metrics: vec![MetricKind::Diff],
+            attacks: attacks
+                .iter()
+                .map(|&class| AttackMix::pure(class))
+                .collect(),
+            damages: damages.to_vec(),
+            fractions: vec![0.1],
+        };
+        let result = ScenarioRunner::new(&spec).run();
+        let dep = result.single();
+        let mut rates = Vec::new();
+        for &class in attacks {
+            for &damage in damages {
+                let cell = dep
+                    .find_cell(MetricKind::Diff, class.name(), damage, 0.1)
+                    .unwrap();
+                rates.push(dep.detection_rate(cell, 0.05));
+            }
+        }
+        rates
+    }
+
+    #[test]
+    fn large_damage_is_detected_better_than_small_damage() {
+        let rates = exact_diff_detection_rates(&[AttackClass::DecBounded], &[40.0, 160.0]);
+        let (dr_small, dr_large) = (rates[0], rates[1]);
+        assert!(
+            dr_large >= dr_small,
+            "DR should not decrease with damage: {dr_small} -> {dr_large}"
+        );
+        assert!(
+            dr_large > 0.8,
+            "large-damage attacks should be detected, DR = {dr_large}"
+        );
+    }
+
+    #[test]
+    fn dec_only_is_easier_to_detect_than_dec_bounded() {
+        let rates =
+            exact_diff_detection_rates(&[AttackClass::DecBounded, AttackClass::DecOnly], &[80.0]);
+        let (dr_bounded, dr_only) = (rates[0], rates[1]);
+        assert!(
+            dr_only + 1e-9 >= dr_bounded,
+            "Dec-Only ({dr_only}) should be at least as detectable as Dec-Bounded ({dr_bounded})"
+        );
+    }
+
+    #[test]
+    fn single_cell_roc_is_well_formed() {
+        let mut spec = tiny_spec().with_accumulator(AccumulatorConfig::exact());
+        spec.grid = ParamGrid::single(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.1);
+        let result = ScenarioRunner::new(&spec).run();
+        let dep = result.single();
+        let auc = dep.roc(&dep.cells[0]).auc();
+        assert!((0.0..=1.0).contains(&auc));
+        assert!(
+            auc > 0.5,
+            "the detector should beat chance at D = 120 (AUC {auc})"
+        );
+    }
+
     #[test]
     fn mixed_attack_workloads_interpolate_between_pure_classes() {
         let mut spec = tiny_spec();

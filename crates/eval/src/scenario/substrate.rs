@@ -344,3 +344,79 @@ impl SubstrateCache {
         self.len() == 0
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::EvalConfig;
+    use crate::scenario::spec::AttackMix;
+    use lad_attack::AttackClass;
+
+    fn exact_substrate() -> Substrate {
+        let base = EvalConfig::bench();
+        Substrate::new(
+            &base.deployment_axis("bench"),
+            &base.sampling_plan(),
+            AccumulatorConfig::exact(),
+        )
+    }
+
+    fn attacked(substrate: &Substrate, fraction: f64) -> Vec<f64> {
+        let cell = CellParams {
+            metric: MetricKind::Diff,
+            attack: AttackMix::pure(AttackClass::DecBounded),
+            damage: 120.0,
+            fraction,
+        };
+        substrate
+            .collect_attacked(&cell, AccumulatorConfig::exact())
+            .into_exact_scores()
+            .expect("exact layout never spills")
+    }
+
+    #[test]
+    fn exact_clean_scores_cover_every_localized_sample() {
+        let substrate = exact_substrate();
+        for metric in MetricKind::ALL {
+            let scores = substrate.clean(metric).exact_scores().expect("exact");
+            assert!(!scores.is_empty());
+            assert!(scores.iter().all(|s| s.is_finite() && *s >= 0.0));
+            assert_eq!(scores.len(), substrate.clean_error_summary().count);
+        }
+    }
+
+    #[test]
+    fn collect_attacked_is_deterministic_and_yields_every_victim() {
+        let a = attacked(&exact_substrate(), 0.1);
+        let b = attacked(&exact_substrate(), 0.1);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), EvalConfig::bench().total_victims());
+    }
+
+    #[test]
+    fn nearby_fractions_use_distinct_seed_streams() {
+        // Regression: seeds were once derived from `(fraction * 1e6) as u64`,
+        // which collides for fractions closer than 1e-6; `to_bits` keeps the
+        // streams distinct.
+        let substrate = exact_substrate();
+        assert_ne!(
+            attacked(&substrate, 0.1),
+            attacked(&substrate, 0.1 + 1e-9),
+            "nearby fractions must not share trial seeds"
+        );
+    }
+
+    #[test]
+    fn victims_are_sampled_without_replacement() {
+        let substrate = exact_substrate();
+        let network = &substrate.networks()[0];
+        let ids = sample_node_ids(network, network.node_count() / 2, 77);
+        let mut seen = std::collections::HashSet::new();
+        assert!(ids.iter().all(|id| seen.insert(*id)), "duplicates sampled");
+        // Oversampling returns every node exactly once.
+        let all = sample_node_ids(network, network.node_count() * 3, 77);
+        assert_eq!(all.len(), network.node_count());
+        let distinct: std::collections::HashSet<_> = all.iter().collect();
+        assert_eq!(distinct.len(), network.node_count());
+    }
+}

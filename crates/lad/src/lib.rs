@@ -66,16 +66,16 @@ pub mod prelude {
         simulate_attack, taint_observation, AttackClass, AttackConfig, AttackOutcome, Evasion,
     };
     pub use lad_core::{
-        AddAllMetric, DetectionMetric, DiffMetric, EngineArtifact, EngineError, LadDetector,
-        LadEngine, LadEngineBuilder, MetricKind, MultiVerdict, ProbabilityMetric,
-        TrainedThresholds, Trainer, TrainingConfig, Verdict,
+        AddAllMetric, DetectionMetric, DiffMetric, EngineArtifact, EngineError, LadEngine,
+        LadEngineBuilder, MetricKind, MultiVerdict, ProbabilityMetric, TrainedThresholds, Trainer,
+        TrainingConfig, Verdict,
     };
     pub use lad_deployment::{DeploymentConfig, DeploymentKnowledge, GzTable};
     pub use lad_eval::scenario::{
         AttackMix, DeploymentAxis, LocalizerChoice, ParamGrid, SamplingPlan, ScenarioRunner,
         ScenarioSpec, SubstrateCache,
     };
-    pub use lad_eval::{EvalConfig, EvalContext};
+    pub use lad_eval::EvalConfig;
     pub use lad_geometry::{Point2, Rect};
     pub use lad_localization::{
         BeaconlessMle, CentroidLocalizer, DvHopLocalizer, LocalizationScheme, Localizer,
@@ -110,7 +110,18 @@ mod tests {
         let knowledge = DeploymentKnowledge::shared(&config);
         let network = Network::generate(knowledge.clone(), 1);
         assert_eq!(network.group_count(), config.group_count());
-        let detector = LadDetector::new(MetricKind::Diff, 25.0);
-        assert_eq!(detector.metric(), MetricKind::Diff);
+        let engine = LadEngine::builder()
+            .deployment(&config)
+            .metric(MetricKind::Diff)
+            .thresholds(vec![25.0])
+            .build()
+            .unwrap();
+        let node = NodeId(0);
+        let verdicts = engine.verify(
+            &network.true_observation(node),
+            network.node(node).resident_point,
+        );
+        let diff: &Verdict = verdicts.verdict(MetricKind::Diff).unwrap();
+        assert_eq!(diff.threshold, 25.0);
     }
 }

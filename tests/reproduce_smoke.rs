@@ -4,12 +4,42 @@
 //! hold.
 
 use lad::eval::experiments;
-use lad::eval::scenario::SubstrateCache;
-use lad::eval::{EvalConfig, EvalContext};
+use lad::eval::scenario::ScenarioResult;
 use lad::prelude::*;
+use lad::stats::AccumulatorConfig;
 
-fn context() -> EvalContext {
-    EvalContext::new(EvalConfig::bench())
+/// Runs `grid` on the standard bench deployment with accumulator layout
+/// `accumulator`, sharing the deployment substrate through `cache`.
+fn run_point(
+    cache: &SubstrateCache,
+    accumulator: AccumulatorConfig,
+    grid: ParamGrid,
+) -> ScenarioResult {
+    let base = EvalConfig::bench();
+    let spec = ScenarioSpec::new(
+        "smoke_point",
+        "single point",
+        experiments::standard_axis(&base),
+        grid,
+        base.sampling_plan(),
+    )
+    .with_accumulator(accumulator);
+    ScenarioRunner::with_cache(&spec, cache).run()
+}
+
+/// Exact-layout detection rate of one point within a false-positive budget.
+fn detection_rate(
+    cache: &SubstrateCache,
+    metric: MetricKind,
+    class: AttackClass,
+    damage: f64,
+    fraction: f64,
+    max_fp: f64,
+) -> f64 {
+    let grid = ParamGrid::single(metric, class, damage, fraction);
+    let result = run_point(cache, AccumulatorConfig::exact(), grid);
+    let dep = result.single();
+    dep.detection_rate(&dep.cells[0], max_fp)
 }
 
 #[test]
@@ -73,20 +103,22 @@ fn all_experiments_produce_saveable_reports() {
 
 #[test]
 fn headline_claims_of_the_paper_hold_on_the_reduced_setup() {
-    let ctx = context();
+    let cache = SubstrateCache::new();
+    let dr = |class, damage, fraction, max_fp| {
+        detection_rate(&cache, MetricKind::Diff, class, damage, fraction, max_fp)
+    };
+    use AttackClass::{DecBounded, DecOnly};
 
     // Claim 1 (§7.6): detection rate approaches 1 as the degree of damage grows.
-    let dr_small = ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 40.0, 0.10, 0.05);
-    let dr_large = ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 160.0, 0.10, 0.05);
+    let dr_small = dr(DecBounded, 40.0, 0.10, 0.05);
+    let dr_large = dr(DecBounded, 160.0, 0.10, 0.05);
     assert!(dr_large >= dr_small);
     assert!(dr_large > 0.8, "DR at D=160 is only {dr_large}");
 
     // Claim 2 (§7.5): Dec-Only attacks are easier to detect than Dec-Bounded
     // attacks at small D, and the two converge at large D.
-    let small_gap = ctx.detection_rate(MetricKind::Diff, AttackClass::DecOnly, 40.0, 0.10, 0.10)
-        - ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 40.0, 0.10, 0.10);
-    let large_gap = ctx.detection_rate(MetricKind::Diff, AttackClass::DecOnly, 160.0, 0.10, 0.10)
-        - ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 160.0, 0.10, 0.10);
+    let small_gap = dr(DecOnly, 40.0, 0.10, 0.10) - dr(DecBounded, 40.0, 0.10, 0.10);
+    let large_gap = dr(DecOnly, 160.0, 0.10, 0.10) - dr(DecBounded, 160.0, 0.10, 0.10);
     assert!(small_gap >= -0.05, "Dec-Only should not be harder at D=40");
     assert!(
         large_gap <= small_gap + 0.1,
@@ -94,20 +126,29 @@ fn headline_claims_of_the_paper_hold_on_the_reduced_setup() {
     );
 
     // Claim 3 (§7.7): higher damage tolerates more node compromise.
-    let dr_d160_x50 =
-        ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 160.0, 0.50, 0.05);
-    let dr_d80_x50 =
-        ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 80.0, 0.50, 0.05);
+    let dr_d160_x50 = dr(DecBounded, 160.0, 0.50, 0.05);
+    let dr_d80_x50 = dr(DecBounded, 80.0, 0.50, 0.05);
     assert!(dr_d160_x50 + 0.1 >= dr_d80_x50);
 }
 
 #[test]
 fn roc_curves_are_valid_probability_curves() {
-    let ctx = context();
-    for metric in MetricKind::ALL {
-        let set = ctx.score_set(metric, AttackClass::DecBounded, 120.0, 0.10);
-        let roc = set.roc();
-        assert!((0.0..=1.0).contains(&roc.auc()));
+    let cache = SubstrateCache::new();
+    let grid = ParamGrid {
+        metrics: MetricKind::ALL.to_vec(),
+        ..ParamGrid::single(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10)
+    };
+    let result = run_point(&cache, AccumulatorConfig::exact(), grid);
+    let dep = result.single();
+    assert_eq!(dep.cells.len(), MetricKind::ALL.len());
+    for cell in &dep.cells {
+        let roc = dep.roc(cell);
+        let auc = roc.auc();
+        assert!(
+            auc > 0.5 && auc <= 1.0,
+            "{:?} should beat chance at D = 120 (AUC {auc})",
+            cell.params.metric
+        );
         let mut prev_fp = -1.0;
         for p in roc.points() {
             assert!((0.0..=1.0).contains(&p.false_positive_rate));
@@ -119,28 +160,21 @@ fn roc_curves_are_valid_probability_curves() {
 }
 
 #[test]
-fn streaming_scenario_results_agree_with_the_buffered_compat_layer() {
-    use lad::eval::scenario::{ParamGrid, ScenarioRunner, ScenarioSpec};
+fn streaming_scenario_results_agree_with_the_exact_layout() {
+    // The same single point, once with the exact accumulator layout and
+    // once forced binned: DR within the streaming layer's documented bound.
+    let cache = SubstrateCache::new();
+    let point = || ParamGrid::single(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10);
+    let exact = run_point(&cache, AccumulatorConfig::exact(), point());
+    let exact_dr = exact
+        .single()
+        .detection_rate(&exact.single().cells[0], 0.05);
 
-    // The same single point, once through the exact EvalContext and once
-    // through a (forced binned) streaming scenario: DR within the streaming
-    // layer's documented bound.
-    let base = EvalConfig::bench();
-    let ctx = context();
-    let exact_dr = ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10, 0.05);
-
-    let spec = ScenarioSpec::new(
-        "smoke_point",
-        "single point",
-        lad::eval::experiments::standard_axis(&base),
-        ParamGrid::single(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10),
-        base.sampling_plan(),
-    )
-    .with_accumulator(lad::stats::AccumulatorConfig {
+    let binned = AccumulatorConfig {
         exact_limit: 0,
         ..Default::default()
-    });
-    let result = ScenarioRunner::new(&spec).run();
+    };
+    let result = run_point(&cache, binned, point());
     let dep = result.single();
     let cell = &dep.cells[0];
     let streamed_dr = dep.detection_rate(cell, 0.05);

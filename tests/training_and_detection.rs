@@ -1,4 +1,4 @@
-//! Integration tests of the training → threshold → detector pipeline,
+//! Integration tests of the training → threshold → engine pipeline,
 //! including serialisation of trained artefacts.
 
 use lad::prelude::*;
@@ -55,46 +55,62 @@ fn trained_thresholds_serialize_and_round_trip() {
         let tb = back.threshold(metric, 0.99).unwrap();
         assert!((ta - tb).abs() <= ta.abs() * 1e-12);
     }
-    // The detector built from the deserialized thresholds behaves identically
-    // (up to the same float round-trip tolerance).
-    let a = trained.detector(MetricKind::Diff, 0.99);
-    let b = back.detector(MetricKind::Diff, 0.99);
-    assert!((a.threshold() - b.threshold()).abs() <= a.threshold().abs() * 1e-12);
+}
+
+/// An engine over the trained thresholds of `metrics` at the τ-percentile.
+fn engine_at(trained: &TrainedThresholds, metrics: &[MetricKind], tau: f64) -> LadEngine {
+    LadEngine::builder()
+        .deployment(&DeploymentConfig::small_test())
+        .metrics(metrics)
+        .thresholds(
+            metrics
+                .iter()
+                .map(|&m| trained.threshold(m, tau).unwrap())
+                .collect(),
+        )
+        .build()
+        .expect("engine builds")
 }
 
 #[test]
 fn detector_verdicts_serialize() {
     let trained = quick_training(3);
-    let knowledge = knowledge();
-    let detector = trained.detector(MetricKind::Probability, 0.95);
-    let obs = Observation::from_counts(vec![0; knowledge.group_count()]);
-    let verdict = detector.detect(&knowledge, &obs, Point2::new(200.0, 200.0));
-    let json = serde_json::to_string(&verdict).unwrap();
+    let engine = engine_at(&trained, &[MetricKind::Probability], 0.95);
+    let obs = Observation::from_counts(vec![0; engine.knowledge().group_count()]);
+    let verdict = engine.verify(&obs, Point2::new(200.0, 200.0));
+    let single = verdict.verdicts[0];
+    let json = serde_json::to_string(&single).unwrap();
     let back: Verdict = serde_json::from_str(&json).unwrap();
+    assert_eq!(single, back);
+    let json = serde_json::to_string(&verdict).unwrap();
+    let back: MultiVerdict = serde_json::from_str(&json).unwrap();
     assert_eq!(verdict, back);
 }
 
 #[test]
 fn detector_is_threshold_consistent_across_metrics() {
     let trained = quick_training(4);
-    let knowledge = knowledge();
+    let engine = engine_at(&trained, &MetricKind::ALL, 0.999);
     // An observation matching the expectation at P, claimed at P vs far away.
     let p = Point2::new(150.0, 150.0);
     let far = Point2::new(350.0, 350.0);
-    let mu = knowledge.expected_observation(p);
+    let mu = engine.knowledge().expected_observation(p);
     let obs = Observation::from_counts(mu.iter().map(|v| v.round() as u32).collect());
+    let near = engine.verify(&obs, p);
+    let away = engine.verify(&obs, far);
     for metric in MetricKind::ALL {
-        let detector = trained.detector(metric, 0.999);
-        let near_score = detector.score(&knowledge, &obs, p);
-        let far_score = detector.score(&knowledge, &obs, far);
+        let near_score = near.verdict(metric).unwrap().score;
+        let verdict = away.verdict(metric).unwrap();
         assert!(
-            far_score > near_score,
-            "{:?}: far {far_score} should exceed near {near_score}",
-            metric
+            verdict.score > near_score,
+            "{:?}: far {} should exceed near {near_score}",
+            metric,
+            verdict.score
         );
         // The verdict agrees with a manual comparison against the threshold.
-        let verdict = detector.detect(&knowledge, &obs, far);
-        assert_eq!(verdict.anomalous, verdict.score > detector.threshold());
+        let threshold = trained.threshold(metric, 0.999).unwrap();
+        assert_eq!(verdict.threshold, threshold);
+        assert_eq!(verdict.anomalous, verdict.score > threshold);
     }
 }
 
