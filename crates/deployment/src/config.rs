@@ -86,12 +86,6 @@ impl DeploymentConfig {
         self
     }
 
-    /// Returns a copy with a different transmission range `R`.
-    pub fn with_range(mut self, range: f64) -> Self {
-        self.range = range;
-        self
-    }
-
     /// Returns a copy with a different placement σ.
     pub fn with_sigma(mut self, sigma: f64) -> Self {
         self.sigma = sigma;
@@ -150,10 +144,8 @@ mod tests {
     fn builders_override_single_fields() {
         let c = DeploymentConfig::paper_default()
             .with_group_size(500)
-            .with_range(60.0)
             .with_sigma(75.0);
         assert_eq!(c.group_size, 500);
-        assert_eq!(c.range, 60.0);
         assert_eq!(c.sigma, 75.0);
         assert_eq!(c.grid_cols, 10);
     }
@@ -201,6 +193,6 @@ mod tests {
         let a = c.area();
         assert_eq!(a.min_x, 0.0);
         assert_eq!(a.max_x, 400.0);
-        assert_eq!(a.area(), 160_000.0);
+        assert_eq!((a.width(), a.height()), (400.0, 400.0));
     }
 }

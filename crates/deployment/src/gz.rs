@@ -24,7 +24,6 @@
 use lad_geometry::Circle;
 use lad_stats::integrate::adaptive_simpson;
 use lad_stats::LookupTable;
-use serde::{Deserialize, Serialize};
 
 /// Exact evaluation of Theorem 1's `g(z)` for distance `z`, transmission
 /// range `range` and placement deviation `sigma`.
@@ -72,7 +71,7 @@ pub fn gz_exact(z: f64, range: f64, sigma: f64) -> f64 {
 
 /// The §3.3 lookup table: `g(z)` pre-evaluated at `ω + 1` equally spaced
 /// distances, evaluated at query time with linear interpolation in O(1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GzTable {
     range: f64,
     sigma: f64,

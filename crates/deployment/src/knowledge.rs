@@ -14,50 +14,38 @@ use crate::mu_cache::MuCache;
 use crate::placement::PlacementModel;
 use crate::sparse::{MuView, SparseMu, SupportIndex};
 use lad_geometry::Point2;
-use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::Arc;
 
 /// Pre-deployment knowledge stored on every sensor.
 ///
-/// Besides the layout, placement model and g(z) table, the knowledge object
+/// Besides the grid layout and the g(z) table, the knowledge object
 /// precomputes a spatial support index over the deployment points (per-cell
 /// sorted candidate lists, cells sized from the g(z) tail `z_max`), so the
 /// **support** of `µ(θ)` — the groups within `z_max` of `θ`, the only ones
 /// with `g_i(θ) ≠ 0` — can be enumerated in O(k) by
-/// [`Self::expected_sparse_into`] instead of scanning all `n` groups. The
-/// index is derived state: it is rebuilt (not stored) when a knowledge
-/// object is deserialised.
+/// [`Self::expected_sparse_into`] instead of scanning all `n` groups.
+/// Everything here derives from the [`DeploymentConfig`], which is what
+/// engine artifacts carry.
 #[derive(Debug, Clone)]
 pub struct DeploymentKnowledge {
     config: DeploymentConfig,
     layout: DeploymentLayout,
-    placement: PlacementModel,
     gz: GzTable,
     /// Precomputed per-cell support candidate lists (see [`SupportIndex`]).
     support: SupportIndex,
 }
 
 impl DeploymentKnowledge {
-    /// Builds the knowledge object for a grid layout described by `config`
-    /// with the paper's Gaussian placement.
+    /// Builds the knowledge object for the grid layout described by
+    /// `config` with the paper's Gaussian placement.
     pub fn from_config(config: &DeploymentConfig) -> Self {
         config.validate().expect("invalid deployment configuration");
         let layout = DeploymentLayout::grid(config);
-        Self::new(*config, layout, PlacementModel::gaussian(config.sigma))
-    }
-
-    /// Builds the knowledge object for an explicit layout and placement model.
-    pub fn new(
-        config: DeploymentConfig,
-        layout: DeploymentLayout,
-        placement: PlacementModel,
-    ) -> Self {
-        let gz = GzTable::build(config.range, placement.spread(), config.gz_table_omega);
+        let gz = GzTable::build(config.range, config.sigma, config.gz_table_omega);
         let support = SupportIndex::build(layout.deployment_points(), layout.area(), gz.z_max());
         Self {
-            config,
+            config: *config,
             layout,
-            placement,
             gz,
             support,
         }
@@ -79,9 +67,9 @@ impl DeploymentKnowledge {
         &self.layout
     }
 
-    /// The placement model.
+    /// The placement model: the Gaussian with the configured σ.
     pub fn placement(&self) -> PlacementModel {
-        self.placement
+        PlacementModel::gaussian(self.config.sigma)
     }
 
     /// The precomputed g(z) table.
@@ -111,14 +99,6 @@ impl DeploymentKnowledge {
     pub fn g_i(&self, group: usize, theta: Point2) -> f64 {
         let dp = self.layout.deployment_point(group);
         self.gz.eval(dp.distance(theta))
-    }
-
-    /// The vector `(g_1(θ), …, g_n(θ))` for all groups.
-    ///
-    /// Thin allocating wrapper over [`Self::g_iter`]; hot loops should
-    /// consume the iterator (or [`Self::expected_sparse_into`]) directly.
-    pub fn g_all(&self, theta: Point2) -> Vec<f64> {
-        self.g_iter(theta).collect()
     }
 
     /// Streams `g_i(θ)` group by group without materialising a vector.
@@ -237,14 +217,6 @@ impl DeploymentKnowledge {
         move |d_sq, mu| gz.mu_into(m, d_sq, mu)
     }
 
-    /// The sparse expected observation at `θ` as a fresh buffer. Thin
-    /// allocating wrapper over [`Self::expected_sparse_into`].
-    pub fn expected_sparse(&self, theta: Point2) -> SparseMu {
-        let mut out = SparseMu::new();
-        self.expected_sparse_into(theta, &mut out);
-        out
-    }
-
     /// The sparse expected observation at `θ`, memoized through `cache`.
     ///
     /// A miss runs the two phases of [`Self::expected_sparse_into`] — the
@@ -287,47 +259,6 @@ impl DeploymentKnowledge {
     pub fn support_radius(&self) -> f64 {
         self.gz.z_max()
     }
-
-    /// Expected total number of neighbours at `θ` (sum of `µ_i`).
-    pub fn expected_neighbor_count(&self, theta: Point2) -> f64 {
-        self.expected_iter(theta).sum()
-    }
-}
-
-// The spatial support index is derived state rebuilt from the serialised
-// fields, so (de)serialisation is implemented by hand instead of derived
-// (the serde shim has no `#[serde(skip)]`); the wire format matches what
-// `#[derive(Serialize)]` produced before the index existed.
-impl Serialize for DeploymentKnowledge {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (String::from("config"), self.config.to_value()),
-            (String::from("layout"), self.layout.to_value()),
-            (String::from("placement"), self.placement.to_value()),
-            (String::from("gz"), self.gz.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for DeploymentKnowledge {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| Error::custom(format!("DeploymentKnowledge is missing `{name}`")))
-        };
-        let config: DeploymentConfig = Deserialize::from_value(field("config")?)?;
-        let layout: DeploymentLayout = Deserialize::from_value(field("layout")?)?;
-        let placement: PlacementModel = Deserialize::from_value(field("placement")?)?;
-        let gz: GzTable = Deserialize::from_value(field("gz")?)?;
-        let support = SupportIndex::build(layout.deployment_points(), layout.area(), gz.z_max());
-        Ok(Self {
-            config,
-            layout,
-            placement,
-            gz,
-            support,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -367,7 +298,7 @@ mod tests {
         // 40 covers ~5026 m², so the interior expectation is ≈ 150 neighbours.
         let k = knowledge();
         let center = Point2::new(500.0, 500.0);
-        let expected = k.expected_neighbor_count(center);
+        let expected: f64 = k.expected_iter(center).sum();
         assert!(
             (expected - 150.0).abs() < 15.0,
             "interior expected neighbour count {expected} should be near 150"
@@ -377,8 +308,8 @@ mod tests {
     #[test]
     fn expected_neighbor_count_drops_near_the_corner() {
         let k = knowledge();
-        let interior = k.expected_neighbor_count(Point2::new(500.0, 500.0));
-        let corner = k.expected_neighbor_count(Point2::new(5.0, 5.0));
+        let interior: f64 = k.expected_iter(Point2::new(500.0, 500.0)).sum();
+        let corner: f64 = k.expected_iter(Point2::new(5.0, 5.0)).sum();
         assert!(
             corner < interior * 0.6,
             "corner {corner} vs interior {interior}"
@@ -449,21 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn knowledge_serde_round_trip_rebuilds_the_support_index() {
-        let k = knowledge();
-        let json = serde_json::to_string(&k).expect("knowledge serialises");
-        let back: DeploymentKnowledge = serde_json::from_str(&json).expect("knowledge parses");
-        assert_eq!(back.config(), k.config());
-        assert_eq!(back.layout(), k.layout());
-        let theta = Point2::new(430.0, 510.0);
-        assert_eq!(
-            back.expected_observation(theta),
-            k.expected_observation(theta)
-        );
-        assert_eq!(back.expected_sparse(theta), k.expected_sparse(theta));
-    }
-
-    #[test]
     fn g_iter_matches_g_i_bit_for_bit() {
         let k = knowledge();
         // Boundary probes: θ at distance exactly z_max from a deployment
@@ -479,7 +395,7 @@ mod tests {
         let m = k.group_size() as f64;
         for theta in [Point2::new(217.0, 488.0), edge, inside, outside] {
             let iterated: Vec<f64> = k.g_iter(theta).collect();
-            assert_eq!(iterated, k.g_all(theta));
+            assert_eq!(iterated.len(), k.group_count());
             let mu = k.expected_observation(theta);
             for (i, &g) in iterated.iter().enumerate() {
                 assert_eq!(g, k.g_i(i, theta), "group {i} at {theta:?}");

@@ -1,31 +1,14 @@
-//! Deployment-point layouts.
+//! The deployment-point layout.
 //!
-//! §3.1 of the paper arranges deployment points in a grid (Figure 1) but
-//! explicitly notes the scheme "can be easily extended to other deployment
-//! strategies, such as … hexagon shapes, or deployments where the deployment
-//! points are random (as long as their locations are given to all sensors)".
-//! All three strategies are implemented here.
+//! §3.1 of the paper arranges deployment points in a grid (Figure 1); that
+//! grid is the layout every sensor is provisioned with.
 
 use crate::config::DeploymentConfig;
-use lad_geometry::{sampling, Point2, Rect};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// Which layout strategy generated a set of deployment points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LayoutKind {
-    /// Deployment points at the centres of a regular grid (paper default).
-    Grid,
-    /// Deployment points on a hexagonal (offset-row) lattice.
-    Hexagonal,
-    /// Deployment points placed uniformly at random (but known to all nodes).
-    Random,
-}
+use lad_geometry::{Point2, Rect};
 
 /// A concrete set of deployment points together with the area they cover.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentLayout {
-    kind: LayoutKind,
     area: Rect,
     points: Vec<Point2>,
 }
@@ -45,63 +28,9 @@ impl DeploymentLayout {
             }
         }
         Self {
-            kind: LayoutKind::Grid,
             area: config.area(),
             points,
         }
-    }
-
-    /// A hexagonal layout: like the grid, but every other row is offset by
-    /// half a cell width (wrapped back into the area).
-    pub fn hexagonal(config: &DeploymentConfig) -> Self {
-        let mut points = Vec::with_capacity(config.group_count());
-        let (cw, ch) = (config.cell_width(), config.cell_height());
-        for row in 0..config.grid_rows {
-            let offset = if row % 2 == 1 { 0.25 * cw } else { -0.25 * cw };
-            for col in 0..config.grid_cols {
-                let x = (col as f64 + 0.5) * cw + offset;
-                let x = x.rem_euclid(config.area_side);
-                points.push(Point2::new(x, (row as f64 + 0.5) * ch));
-            }
-        }
-        Self {
-            kind: LayoutKind::Hexagonal,
-            area: config.area(),
-            points,
-        }
-    }
-
-    /// Random deployment points, uniform over the area. The points are still
-    /// "deployment knowledge": every sensor is assumed to know them.
-    pub fn random<R: Rng + ?Sized>(config: &DeploymentConfig, rng: &mut R) -> Self {
-        let area = config.area();
-        let points = (0..config.group_count())
-            .map(|_| sampling::uniform_in_rect(rng, area))
-            .collect();
-        Self {
-            kind: LayoutKind::Random,
-            area,
-            points,
-        }
-    }
-
-    /// Builds a layout from explicit deployment points (e.g. loaded from a
-    /// mission plan).
-    pub fn from_points(area: Rect, points: Vec<Point2>) -> Self {
-        assert!(
-            !points.is_empty(),
-            "a layout needs at least one deployment point"
-        );
-        Self {
-            kind: LayoutKind::Random,
-            area,
-            points,
-        }
-    }
-
-    /// The layout strategy used.
-    pub fn kind(&self) -> LayoutKind {
-        self.kind
     }
 
     /// The deployment area.
@@ -143,8 +72,6 @@ impl DeploymentLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn grid_layout_matches_figure_1() {
@@ -152,7 +79,6 @@ mod tests {
         let cfg = DeploymentConfig::paper_default();
         let layout = DeploymentLayout::grid(&cfg);
         assert_eq!(layout.group_count(), 100);
-        assert_eq!(layout.kind(), LayoutKind::Grid);
         assert_eq!(layout.deployment_point(0), Point2::new(50.0, 50.0));
         assert_eq!(layout.deployment_point(1), Point2::new(150.0, 50.0));
         assert_eq!(layout.deployment_point(10), Point2::new(50.0, 150.0));
@@ -169,52 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn hexagonal_offsets_alternate_rows() {
-        let cfg = DeploymentConfig::paper_default();
-        let layout = DeploymentLayout::hexagonal(&cfg);
-        assert_eq!(layout.group_count(), 100);
-        let row0 = layout.deployment_point(0);
-        let row1 = layout.deployment_point(10);
-        assert!((row0.x - row1.x).abs() > 1.0, "rows should be offset");
-        for &p in layout.deployment_points() {
-            assert!(layout.area().contains(p));
-        }
-    }
-
-    #[test]
-    fn random_layout_is_reproducible_and_in_bounds() {
-        let cfg = DeploymentConfig::small_test();
-        let mut a = ChaCha8Rng::seed_from_u64(9);
-        let mut b = ChaCha8Rng::seed_from_u64(9);
-        let la = DeploymentLayout::random(&cfg, &mut a);
-        let lb = DeploymentLayout::random(&cfg, &mut b);
-        assert_eq!(la, lb);
-        assert_eq!(la.group_count(), cfg.group_count());
-        for &p in la.deployment_points() {
-            assert!(la.area().contains(p));
-        }
-    }
-
-    #[test]
     fn nearest_group_identifies_own_cell() {
         let cfg = DeploymentConfig::paper_default();
         let layout = DeploymentLayout::grid(&cfg);
         // A point near (150, 150) belongs to group 11 (second column, second row).
         assert_eq!(layout.nearest_group(Point2::new(149.0, 152.0)), 11);
         assert_eq!(layout.nearest_group(Point2::new(51.0, 49.0)), 0);
-    }
-
-    #[test]
-    fn from_points_preserves_points() {
-        let pts = vec![Point2::new(1.0, 2.0), Point2::new(3.0, 4.0)];
-        let layout = DeploymentLayout::from_points(Rect::square(10.0), pts.clone());
-        assert_eq!(layout.deployment_points(), pts.as_slice());
-        assert_eq!(layout.group_count(), 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_from_points_panics() {
-        let _ = DeploymentLayout::from_points(Rect::square(10.0), vec![]);
     }
 }

@@ -3,9 +3,8 @@
 //! Sensors are deployed in `n` equal-size groups; group `G_i` is dropped at a
 //! known **deployment point** and each of its members lands at a **resident
 //! point** drawn from an isotropic 2-D Gaussian centred at the deployment
-//! point (§3.2). The deployment points are arranged in a grid by default
-//! (Figure 1), but the paper notes that hexagonal or arbitrary known layouts
-//! work equally well — all three are provided by [`layout`].
+//! point (§3.2). The deployment points are arranged in a grid (Figure 1,
+//! [`layout`]); the Gaussian is the [`placement`] model.
 //!
 //! The quantity the detector actually needs is `g_i(θ)`: the probability that
 //! a node of group `G_i` resides within transmission range `R` of the point
@@ -35,7 +34,7 @@ pub mod sparse;
 pub use config::DeploymentConfig;
 pub use gz::{gz_exact, GzTable, PreparedGz};
 pub use knowledge::DeploymentKnowledge;
-pub use layout::{DeploymentLayout, LayoutKind};
+pub use layout::DeploymentLayout;
 pub use mu_cache::MuCache;
 pub use placement::PlacementModel;
 pub use sparse::{MuView, SparseMu};

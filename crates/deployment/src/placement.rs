@@ -1,83 +1,41 @@
-//! Placement models: how a sensor's resident point is drawn around its
+//! The placement model: how a sensor's resident point is drawn around its
 //! group's deployment point.
 //!
-//! The paper models placement as an isotropic 2-D Gaussian (§3.2) but states
-//! that "our methodology can also be applied to other distributions"; a
-//! uniform-disk model is provided as that alternative (and is used by the
-//! model-mismatch robustness tests).
+//! The paper models placement as an isotropic 2-D Gaussian (§3.2); the g(z)
+//! table of Theorem 1 is built for exactly that distribution, so it is the
+//! only placement the simulator draws from.
 
 use lad_geometry::{sampling, Point2};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-/// The probability distribution of a resident point around its deployment
-/// point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PlacementModel {
-    /// Isotropic 2-D Gaussian with per-axis standard deviation σ (paper §3.2).
-    Gaussian {
-        /// Per-axis standard deviation in metres.
-        sigma: f64,
-    },
-    /// Uniform over a disk of the given radius — an alternative placement
-    /// model used to study sensitivity to deployment-knowledge mismatch.
-    UniformDisk {
-        /// Disk radius in metres.
-        radius: f64,
-    },
+/// The isotropic 2-D Gaussian distribution of a resident point around its
+/// deployment point (paper §3.2).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlacementModel {
+    sigma: f64,
 }
 
 impl PlacementModel {
-    /// The paper's Gaussian placement with the given σ.
+    /// The paper's Gaussian placement with per-axis standard deviation σ
+    /// (metres).
     pub fn gaussian(sigma: f64) -> Self {
         assert!(sigma > 0.0, "sigma must be positive");
-        PlacementModel::Gaussian { sigma }
-    }
-
-    /// A uniform-disk placement with the given radius.
-    pub fn uniform_disk(radius: f64) -> Self {
-        assert!(radius > 0.0, "radius must be positive");
-        PlacementModel::UniformDisk { radius }
+        PlacementModel { sigma }
     }
 
     /// Draws a resident point for a sensor whose group is deployed at
     /// `deployment_point`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, deployment_point: Point2) -> Point2 {
-        match *self {
-            PlacementModel::Gaussian { sigma } => {
-                sampling::gaussian_around(rng, deployment_point, sigma)
-            }
-            PlacementModel::UniformDisk { radius } => {
-                sampling::uniform_in_disk(rng, deployment_point, radius)
-            }
-        }
+        sampling::gaussian_around(rng, deployment_point, self.sigma)
     }
 
     /// Probability that a resident point lands within distance `r` of the
-    /// deployment point (radial CDF of the placement model).
+    /// deployment point (the Rayleigh radial CDF of the Gaussian).
     pub fn prob_within(&self, r: f64) -> f64 {
         if r <= 0.0 {
             return 0.0;
         }
-        match *self {
-            PlacementModel::Gaussian { sigma } => 1.0 - (-(r * r) / (2.0 * sigma * sigma)).exp(),
-            PlacementModel::UniformDisk { radius } => {
-                if r >= radius {
-                    1.0
-                } else {
-                    (r / radius).powi(2)
-                }
-            }
-        }
-    }
-
-    /// A characteristic spread length: σ for the Gaussian, radius for the
-    /// uniform disk. Used to size lookup-table domains.
-    pub fn spread(&self) -> f64 {
-        match *self {
-            PlacementModel::Gaussian { sigma } => sigma,
-            PlacementModel::UniformDisk { radius } => radius,
-        }
+        1.0 - (-(r * r) / (2.0 * self.sigma * self.sigma)).exp()
     }
 }
 
@@ -109,39 +67,24 @@ mod tests {
     }
 
     #[test]
-    fn uniform_disk_sampling_stays_inside_radius() {
-        let model = PlacementModel::uniform_disk(80.0);
-        let dp = Point2::new(0.0, 0.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for _ in 0..2000 {
-            assert!(model.sample(&mut rng, dp).distance(dp) <= 80.0 + 1e-9);
-        }
-        assert_eq!(model.prob_within(80.0), 1.0);
-        assert_eq!(model.prob_within(200.0), 1.0);
-        assert!((model.prob_within(40.0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn prob_within_monotone_and_bounded() {
-        for model in [
-            PlacementModel::gaussian(30.0),
-            PlacementModel::uniform_disk(30.0),
-        ] {
-            let mut prev = 0.0;
-            for i in 0..100 {
-                let r = i as f64 * 3.0;
-                let p = model.prob_within(r);
-                assert!(p >= prev - 1e-12);
-                assert!((0.0..=1.0).contains(&p));
-                prev = p;
-            }
+        let model = PlacementModel::gaussian(30.0);
+        let mut prev = 0.0;
+        for i in 0..100 {
+            let r = i as f64 * 3.0;
+            let p = model.prob_within(r);
+            assert!(p >= prev - 1e-12);
+            assert!((0.0..=1.0).contains(&p));
+            prev = p;
         }
     }
 
     #[test]
     fn spread_reports_scale() {
-        assert_eq!(PlacementModel::gaussian(50.0).spread(), 50.0);
-        assert_eq!(PlacementModel::uniform_disk(70.0).spread(), 70.0);
+        // The simulator draws with the σ the deployment is configured with.
+        let cfg = crate::DeploymentConfig::paper_default().with_sigma(70.0);
+        let knowledge = crate::DeploymentKnowledge::from_config(&cfg);
+        assert_eq!(knowledge.placement(), PlacementModel::gaussian(70.0));
     }
 
     #[test]

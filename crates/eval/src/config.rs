@@ -67,17 +67,6 @@ impl EvalConfig {
         self
     }
 
-    /// Returns a copy with a different master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Total number of clean samples across all networks.
-    pub fn total_clean_samples(&self) -> usize {
-        self.networks * self.clean_samples_per_network
-    }
-
     /// Total number of attacked victims across all networks.
     pub fn total_victims(&self) -> usize {
         self.networks * self.victims_per_network
@@ -110,16 +99,16 @@ mod tests {
         let paper = EvalConfig::paper();
         let quick = EvalConfig::quick();
         let bench = EvalConfig::bench();
-        assert!(paper.total_clean_samples() > quick.total_clean_samples());
-        assert!(quick.total_clean_samples() > bench.total_clean_samples());
+        let clean = |c: &EvalConfig| c.networks * c.clean_samples_per_network;
+        assert!(clean(&paper) > clean(&quick));
+        assert!(clean(&quick) > clean(&bench));
         assert_eq!(paper.deployment.group_size, 300);
         assert!(bench.deployment.total_nodes() < quick.deployment.total_nodes());
     }
 
     #[test]
     fn builders_adjust_fields() {
-        let cfg = EvalConfig::quick().with_group_size(500).with_seed(9);
+        let cfg = EvalConfig::quick().with_group_size(500);
         assert_eq!(cfg.deployment.group_size, 500);
-        assert_eq!(cfg.seed, 9);
     }
 }

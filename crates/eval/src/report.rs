@@ -27,15 +27,6 @@ impl Series {
             points,
         }
     }
-
-    /// The y value at the first point whose x is at least `x` (or the last y).
-    pub fn y_at_or_after(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|(px, _)| *px >= x)
-            .or(self.points.last())
-            .map(|(_, y)| *y)
-    }
 }
 
 /// A reproduced figure or table.
@@ -189,9 +180,5 @@ mod tests {
         let r = sample_report();
         assert!(r.series_by_label("curve-a").is_some());
         assert!(r.series_by_label("missing").is_none());
-        let s = r.series_by_label("curve-a").unwrap();
-        assert_eq!(s.y_at_or_after(1.5), Some(0.9));
-        assert_eq!(s.y_at_or_after(5.0), Some(0.9));
-        assert_eq!(s.y_at_or_after(0.0), Some(0.5));
     }
 }

@@ -22,11 +22,6 @@ pub struct SamplingPlan {
 }
 
 impl SamplingPlan {
-    /// Total clean samples per deployment axis (before localization drops).
-    pub fn total_clean_samples(&self) -> usize {
-        self.networks * self.clean_samples_per_network
-    }
-
     /// Total victims per grid cell.
     pub fn total_victims(&self) -> usize {
         self.networks * self.victims_per_network
@@ -305,11 +300,6 @@ impl ScenarioSpec {
     pub fn with_accumulator(mut self, accumulator: AccumulatorConfig) -> Self {
         self.accumulator = accumulator;
         self
-    }
-
-    /// Total number of attacked-victim trials the scenario will simulate.
-    pub fn total_trials(&self) -> usize {
-        self.deployments.len() * self.grid.len() * self.sampling.total_victims()
     }
 }
 

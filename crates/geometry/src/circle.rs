@@ -20,49 +20,10 @@ impl Circle {
         Self { center, radius }
     }
 
-    /// Area of the disk.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        std::f64::consts::PI * self.radius * self.radius
-    }
-
     /// Whether `p` lies inside or on the circle.
     #[inline]
     pub fn contains(&self, p: Point2) -> bool {
         self.center.distance_squared(p) <= self.radius * self.radius
-    }
-
-    /// Whether this circle and `other` overlap (share at least one point).
-    #[inline]
-    pub fn intersects(&self, other: &Circle) -> bool {
-        let d = self.center.distance(other.center);
-        d <= self.radius + other.radius
-    }
-
-    /// Area of the intersection of two disks (the classic "lens" area).
-    ///
-    /// Returns 0 when the disks are disjoint and the area of the smaller disk
-    /// when one disk is contained in the other.
-    pub fn intersection_area(&self, other: &Circle) -> f64 {
-        let d = self.center.distance(other.center);
-        let (r, s) = (self.radius, other.radius);
-        if d >= r + s {
-            return 0.0;
-        }
-        if d + r.min(s) <= r.max(s) {
-            let rmin = r.min(s);
-            return std::f64::consts::PI * rmin * rmin;
-        }
-        // Standard lens-area formula; arguments clamped against round-off.
-        let alpha = ((d * d + r * r - s * s) / (2.0 * d * r)).clamp(-1.0, 1.0);
-        let beta = ((d * d + s * s - r * r) / (2.0 * d * s)).clamp(-1.0, 1.0);
-        let a1 = r * r * alpha.acos();
-        let a2 = s * s * beta.acos();
-        let tri = 0.5
-            * ((-d + r + s) * (d + r - s) * (d - r + s) * (d + r + s))
-                .max(0.0)
-                .sqrt();
-        a1 + a2 - tri
     }
 
     /// Half-angle (radians) subtended at the centre of a circle of radius `ell`
@@ -117,37 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_area_disjoint_is_zero() {
-        let a = Circle::new(Point2::new(0.0, 0.0), 5.0);
-        let b = Circle::new(Point2::new(20.0, 0.0), 5.0);
-        assert_eq!(a.intersection_area(&b), 0.0);
-        assert!(!a.intersects(&b));
-    }
-
-    #[test]
-    fn intersection_area_contained_is_smaller_disk() {
-        let a = Circle::new(Point2::new(0.0, 0.0), 10.0);
-        let b = Circle::new(Point2::new(1.0, 1.0), 2.0);
-        assert!((a.intersection_area(&b) - b.area()).abs() < 1e-9);
-        assert!(a.intersects(&b));
-    }
-
-    #[test]
-    fn intersection_area_identical_is_full_disk() {
-        let a = Circle::new(Point2::new(3.0, -2.0), 7.0);
-        assert!((a.intersection_area(&a) - a.area()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn intersection_area_half_offset_matches_analytic() {
-        // Two unit circles at distance 1: lens area = 2*acos(1/2) - sqrt(3)/2.
-        let a = Circle::new(Point2::new(0.0, 0.0), 1.0);
-        let b = Circle::new(Point2::new(1.0, 0.0), 1.0);
-        let expected = 2.0 * (0.5f64).acos() - (3.0f64).sqrt() / 2.0;
-        assert!((a.intersection_area(&b) - expected).abs() < 1e-9);
-    }
-
-    #[test]
     fn arc_half_angle_limits() {
         // Circle of radius 1 around the deployment point, neighbourhood of
         // radius 10 centred 2 away: fully inside -> pi.
@@ -160,28 +90,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_intersection_area_bounds(
-            cx in -50.0f64..50.0, cy in -50.0f64..50.0,
-            r in 0.1f64..30.0, s in 0.1f64..30.0,
-        ) {
-            let a = Circle::new(Point2::new(0.0, 0.0), r);
-            let b = Circle::new(Point2::new(cx, cy), s);
-            let inter = a.intersection_area(&b);
-            prop_assert!(inter >= -1e-9);
-            prop_assert!(inter <= a.area().min(b.area()) + 1e-6);
-        }
-
-        #[test]
-        fn prop_intersection_area_symmetric(
-            cx in -50.0f64..50.0, cy in -50.0f64..50.0,
-            r in 0.1f64..30.0, s in 0.1f64..30.0,
-        ) {
-            let a = Circle::new(Point2::new(0.0, 0.0), r);
-            let b = Circle::new(Point2::new(cx, cy), s);
-            prop_assert!((a.intersection_area(&b) - b.intersection_area(&a)).abs() < 1e-6);
-        }
-
         #[test]
         fn prop_arc_half_angle_in_range(ell in 0.0f64..200.0, z in 0.0f64..200.0, r in 0.1f64..100.0) {
             let ang = Circle::arc_half_angle(ell, z, r);

@@ -147,13 +147,6 @@ impl GridIndex {
         self.for_each_within(query, radius, |i, _| out.push(i));
         out
     }
-
-    /// Counts the points within `radius` of `query`.
-    pub fn count_within(&self, query: Point2, radius: f64) -> usize {
-        let mut n = 0usize;
-        self.for_each_within(query, radius, |_, _| n += 1);
-        n
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +178,7 @@ mod tests {
     fn empty_index_returns_nothing() {
         let idx = GridIndex::build(Rect::square(100.0), 10.0, &[]);
         assert!(idx.is_empty());
-        assert_eq!(idx.count_within(Point2::new(50.0, 50.0), 25.0), 0);
+        assert!(idx.query_within(Point2::new(50.0, 50.0), 25.0).is_empty());
     }
 
     #[test]

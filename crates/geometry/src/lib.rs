@@ -8,10 +8,10 @@
 //!   deployment model (transmission disks and the deployment area),
 //! * [`GridIndex`] — a uniform-grid spatial index that answers
 //!   "which points lie within distance `r` of `q`?" without an O(N²) scan,
-//! * [`sampling`] — random point generators (uniform in a rectangle,
-//!   uniform in a disk, at an exact distance from an anchor, and 2-D
-//!   Gaussian displacement), all driven by a caller-supplied [`rand::Rng`]
-//!   so experiments stay deterministic under a fixed seed.
+//! * [`sampling`] — random point generators (uniform in a rectangle, at
+//!   an exact distance from an anchor, and 2-D Gaussian displacement), all
+//!   driven by a caller-supplied [`rand::Rng`] so experiments stay
+//!   deterministic under a fixed seed.
 //!
 //! Everything is deliberately dependency-light and `Copy`-friendly: the hot
 //! loops of the Monte-Carlo harness create millions of points per run.

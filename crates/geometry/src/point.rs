@@ -19,9 +19,6 @@ pub struct Point2 {
 }
 
 impl Point2 {
-    /// The origin `(0, 0)`.
-    pub const ORIGIN: Point2 = Point2 { x: 0.0, y: 0.0 };
-
     /// Creates a point from its coordinates.
     #[inline]
     pub const fn new(x: f64, y: f64) -> Self {
@@ -47,21 +44,6 @@ impl Point2 {
     #[inline]
     pub fn to(&self, other: Point2) -> Vec2 {
         Vec2::new(other.x - self.x, other.y - self.y)
-    }
-
-    /// Midpoint of the segment between `self` and `other`.
-    #[inline]
-    pub fn midpoint(&self, other: Point2) -> Point2 {
-        Point2::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    #[inline]
-    pub fn lerp(&self, other: Point2, t: f64) -> Point2 {
-        Point2::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
     }
 
     /// Returns `true` when both coordinates are finite.
@@ -155,16 +137,6 @@ mod tests {
         let a = Point2::new(-3.0, 7.5);
         let b = Point2::new(2.25, -1.0);
         assert!((a.distance_squared(b) - a.distance(b).powi(2)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn midpoint_and_lerp_agree() {
-        let a = Point2::new(0.0, 0.0);
-        let b = Point2::new(10.0, -4.0);
-        let mid = a.midpoint(b);
-        let half = a.lerp(b, 0.5);
-        assert!((mid.x - half.x).abs() < 1e-12);
-        assert!((mid.y - half.y).abs() < 1e-12);
     }
 
     #[test]

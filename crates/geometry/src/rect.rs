@@ -48,21 +48,6 @@ impl Rect {
         self.max_y - self.min_y
     }
 
-    /// Area of the rectangle.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
-    /// Centre point.
-    #[inline]
-    pub fn center(&self) -> Point2 {
-        Point2::new(
-            (self.min_x + self.max_x) * 0.5,
-            (self.min_y + self.max_y) * 0.5,
-        )
-    }
-
     /// Whether `p` lies inside or on the boundary.
     #[inline]
     pub fn contains(&self, p: Point2) -> bool {
@@ -87,13 +72,6 @@ impl Rect {
             self.max_y + margin,
         )
     }
-
-    /// Shortest distance from `p` to the rectangle (0 when inside).
-    pub fn distance_to(&self, p: Point2) -> f64 {
-        let dx = (self.min_x - p.x).max(0.0).max(p.x - self.max_x);
-        let dy = (self.min_y - p.y).max(0.0).max(p.y - self.max_y);
-        (dx * dx + dy * dy).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -106,8 +84,6 @@ mod tests {
         let r = Rect::square(1000.0);
         assert_eq!(r.width(), 1000.0);
         assert_eq!(r.height(), 1000.0);
-        assert_eq!(r.area(), 1_000_000.0);
-        assert_eq!(r.center(), Point2::new(500.0, 500.0));
     }
 
     #[test]
@@ -126,8 +102,6 @@ mod tests {
         let bigger = r.expand(2.0);
         assert_eq!(bigger.min_x, -2.0);
         assert_eq!(bigger.max_y, 12.0);
-        assert_eq!(r.distance_to(Point2::new(5.0, 5.0)), 0.0);
-        assert!((r.distance_to(Point2::new(13.0, 14.0)) - 5.0).abs() < 1e-12);
     }
 
     proptest! {
@@ -138,19 +112,6 @@ mod tests {
         ) {
             let r = Rect::new(0.0, 0.0, w, h);
             prop_assert!(r.contains(r.clamp(Point2::new(px, py))));
-        }
-
-        #[test]
-        fn prop_distance_zero_iff_contained(
-            px in -2e3f64..2e3, py in -2e3f64..2e3,
-        ) {
-            let r = Rect::square(1000.0);
-            let p = Point2::new(px, py);
-            if r.contains(p) {
-                prop_assert_eq!(r.distance_to(p), 0.0);
-            } else {
-                prop_assert!(r.distance_to(p) > 0.0);
-            }
         }
     }
 }

@@ -17,14 +17,6 @@ pub fn uniform_in_rect<R: Rng + ?Sized>(rng: &mut R, rect: Rect) -> Point2 {
     )
 }
 
-/// Samples a point uniformly at random inside the disk of radius `radius`
-/// centred at `center` (area-uniform, i.e. radius is sqrt-distributed).
-pub fn uniform_in_disk<R: Rng + ?Sized>(rng: &mut R, center: Point2, radius: f64) -> Point2 {
-    let r = radius * rng.gen::<f64>().sqrt();
-    let theta = rng.gen_range(0.0..TAU);
-    center.offset_polar(r, theta)
-}
-
 /// Samples a point at *exactly* distance `dist` from `anchor`, in a uniformly
 /// random direction. Used to create the `|L_e − L_a| = D` displaced locations
 /// of a D-anomaly attack (paper §7.1, step 2).
@@ -128,24 +120,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(rect.contains(uniform_in_rect(&mut r, rect)));
         }
-    }
-
-    #[test]
-    fn uniform_in_disk_stays_inside_and_covers_area() {
-        let mut r = rng(2);
-        let c = Point2::new(5.0, -3.0);
-        let mut inner = 0usize;
-        let n = 20_000;
-        for _ in 0..n {
-            let p = uniform_in_disk(&mut r, c, 10.0);
-            assert!(c.distance(p) <= 10.0 + 1e-9);
-            if c.distance(p) <= 10.0 / 2.0_f64.sqrt() {
-                inner += 1;
-            }
-        }
-        // Area-uniform: half the samples fall within r/sqrt(2).
-        let frac = inner as f64 / n as f64;
-        assert!((frac - 0.5).abs() < 0.02, "frac = {frac}");
     }
 
     #[test]

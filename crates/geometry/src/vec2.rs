@@ -13,19 +13,10 @@ pub struct Vec2 {
 }
 
 impl Vec2 {
-    /// The zero vector.
-    pub const ZERO: Vec2 = Vec2 { x: 0.0, y: 0.0 };
-
     /// Creates a vector from its components.
     #[inline]
     pub const fn new(x: f64, y: f64) -> Self {
         Self { x, y }
-    }
-
-    /// Unit vector in direction `angle` (radians from +x axis).
-    #[inline]
-    pub fn from_angle(angle: f64) -> Self {
-        Self::new(angle.cos(), angle.sin())
     }
 
     /// Euclidean length.
@@ -38,12 +29,6 @@ impl Vec2 {
     #[inline]
     pub fn length_squared(&self) -> f64 {
         self.x * self.x + self.y * self.y
-    }
-
-    /// Dot product with `other`.
-    #[inline]
-    pub fn dot(&self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
     }
 
     /// z component of the 3-D cross product (signed parallelogram area).
@@ -156,7 +141,6 @@ mod tests {
     fn dot_and_cross_orthogonality() {
         let a = Vec2::new(1.0, 0.0);
         let b = Vec2::new(0.0, 2.0);
-        assert_eq!(a.dot(b), 0.0);
         assert_eq!(a.cross(b), 2.0);
         assert_eq!(b.cross(a), -2.0);
     }
@@ -166,25 +150,14 @@ mod tests {
         let v = Vec2::new(10.0, -7.0);
         let n = v.normalized().unwrap();
         assert!((n.length() - 1.0).abs() < 1e-12);
-        assert!(Vec2::ZERO.normalized().is_none());
-    }
-
-    #[test]
-    fn from_angle_round_trips() {
-        for k in 0..8 {
-            let ang = -3.0 + k as f64 * 0.7;
-            let v = Vec2::from_angle(ang);
-            assert!((v.length() - 1.0).abs() < 1e-12);
-            // angle() is in (-pi, pi]; compare via dot with the original direction.
-            assert!((v.dot(Vec2::from_angle(v.angle())) - 1.0).abs() < 1e-12);
-        }
+        assert!(Vec2::default().normalized().is_none());
     }
 
     #[test]
     fn arithmetic_identities() {
         let v = Vec2::new(2.0, -3.0);
-        assert_eq!(v + Vec2::ZERO, v);
-        assert_eq!(v - v, Vec2::ZERO);
+        assert_eq!(v + Vec2::default(), v);
+        assert_eq!(v - v, Vec2::default());
         assert_eq!(-(-v), v);
         assert_eq!(v * 2.0, 2.0 * v);
         assert_eq!((v * 2.0) / 2.0, v);
@@ -196,16 +169,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_cauchy_schwarz(
-            ax in -1e3f64..1e3, ay in -1e3f64..1e3,
-            bx in -1e3f64..1e3, by in -1e3f64..1e3,
-        ) {
-            let a = Vec2::new(ax, ay);
-            let b = Vec2::new(bx, by);
-            prop_assert!(a.dot(b).abs() <= a.length() * b.length() + 1e-6);
-        }
-
         #[test]
         fn prop_length_scales_linearly(x in -1e3f64..1e3, y in -1e3f64..1e3, s in 0.0f64..100.0) {
             let v = Vec2::new(x, y);

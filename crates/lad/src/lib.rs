@@ -7,7 +7,7 @@
 //! * [`deployment`] — the group-based deployment-knowledge model, Gaussian
 //!   placement, and the Theorem-1 neighbourhood probability `g(z)`,
 //! * [`net`] — the wireless sensor network simulator (nodes, neighbourhoods,
-//!   group-ID hello protocol, observations),
+//!   group-ID neighbour-count observations, CSR batches),
 //! * [`localization`] — the beaconless MLE scheme the paper evaluates on,
 //!   plus centroid and DV-Hop baselines,
 //! * [`core`] — the LAD contribution itself: the Diff / Add-all / Probability

@@ -15,8 +15,7 @@
 //! * [`dvhop::DvHopLocalizer`] — hop-count based multilateration
 //!   (Niculescu & Nath), backed by the [`mmse`] least-squares solver,
 //! * [`anchors`] — anchor (beacon) node generation, including compromised
-//!   anchors that declare false positions,
-//! * [`error`] — localization-error measurement utilities.
+//!   anchors that declare false positions.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -25,7 +24,6 @@ pub mod anchors;
 pub mod beaconless;
 pub mod centroid;
 pub mod dvhop;
-pub mod error;
 pub mod mmse;
 pub mod scheme;
 

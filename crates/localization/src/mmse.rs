@@ -54,22 +54,6 @@ pub fn solve(measurements: &[RangeMeasurement]) -> Option<Point2> {
     p.is_finite().then_some(p)
 }
 
-/// Root-mean-square range residual of a candidate position against the
-/// measurements (a quality measure for the solution).
-pub fn rms_residual(position: Point2, measurements: &[RangeMeasurement]) -> f64 {
-    if measurements.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = measurements
-        .iter()
-        .map(|m| {
-            let r = position.distance(m.reference) - m.distance;
-            r * r
-        })
-        .sum();
-    (sum / measurements.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +81,6 @@ mod tests {
         let m = measurements_from(truth, &anchors);
         let got = solve(&m).unwrap();
         assert!(got.distance(truth) < 1e-6);
-        assert!(rms_residual(got, &m) < 1e-6);
     }
 
     #[test]

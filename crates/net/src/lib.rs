@@ -12,10 +12,6 @@
 //!   (§5.1 of the paper),
 //! * [`batch`] — flat CSR-style batches of `(sparse observation, estimate)`
 //!   rows, the zero-allocation currency of the batched detection hot path,
-//! * [`hello`] — a message-level simulation of that broadcast in which
-//!   compromised neighbours may stay silent, lie about their group, flood
-//!   many identities, or appear from outside the radio range (the raw
-//!   material of the §6 attacks),
 //! * [`topology`] — degree and connectivity statistics used by the
 //!   experiment reports.
 
@@ -23,7 +19,6 @@
 #![warn(clippy::all)]
 
 pub mod batch;
-pub mod hello;
 pub mod network;
 pub mod node;
 pub mod observation;

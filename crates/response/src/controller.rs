@@ -312,8 +312,10 @@ impl ResponseSnapshot {
 /// Replays `detector` over clean per-node score streams (population
 /// order, as produced by `TrafficModel::score_streams`) and returns each
 /// node's *alarm rounds* — the clean alarm streams revocation budgets are
-/// calibrated against ([`ThresholdRevoke::calibrate`]). `reset_on_alarm`
-/// must match the serving configuration for the replay to be faithful.
+/// calibrated against ([`ThresholdRevoke::calibrate`]). `lad_serve`
+/// always resets a node's state after it alarms, so callers replaying a
+/// serving runtime pass `reset_on_alarm = true`; `false` replays a rule
+/// that keeps its state across alarms.
 ///
 /// [`ThresholdRevoke::calibrate`]: crate::ThresholdRevoke::calibrate
 pub fn clean_alarm_rounds(

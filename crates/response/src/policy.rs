@@ -332,22 +332,6 @@ pub struct ClusterQuarantine {
     pub lift_after: u64,
 }
 
-impl ClusterQuarantine {
-    /// A reasonable default for a deployment with placement spread
-    /// `sigma`: link at 1.5 σ, draw regions with a σ margin, require a
-    /// focus of at least 4 alarms, and lift after 8 quiet rounds.
-    pub fn for_sigma(sigma: f64, suspicion_budget: f64) -> Self {
-        Self {
-            link_radius: 1.5 * sigma,
-            window: 12,
-            min_alarms: 4,
-            suspicion_budget,
-            margin: sigma,
-            lift_after: 8,
-        }
-    }
-}
-
 impl RevocationPolicy for ClusterQuarantine {
     fn name(&self) -> &'static str {
         "cluster-quarantine"

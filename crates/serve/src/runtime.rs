@@ -104,12 +104,11 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// The engine metric whose score drives the sequential decision.
     pub metric: MetricKind,
-    /// The sequential decision rule every node runs.
+    /// The sequential decision rule every node runs. A node's state is
+    /// reset after it alarms, so a persistent anomaly re-alarms at the
+    /// detector's cadence instead of every round, and a cleaned node starts
+    /// fresh.
     pub detector: SequentialDetector,
-    /// Reset a node's state after it alarms (so a persistent anomaly
-    /// re-alarms at the detector's cadence instead of every round, and a
-    /// cleaned node starts fresh). Defaults to `true`.
-    pub reset_on_alarm: bool,
     /// Capacity (in estimates) of each shard's µ-memoization cache
     /// ([`MuCache`]); `0` disables caching. The cache is derived state —
     /// per shard, never serialized, rebuilt empty on start/restore — and
@@ -153,14 +152,13 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A single-shard configuration with the given decision metric and
-    /// rule (queue depth 4, reset-on-alarm, 16384-estimate µ cache).
+    /// rule (queue depth 4, 16384-estimate µ cache).
     pub fn new(metric: MetricKind, detector: SequentialDetector) -> Self {
         Self {
             shards: 1,
             queue_depth: 4,
             metric,
             detector,
-            reset_on_alarm: true,
             mu_cache_capacity: 16384,
             telemetry: true,
             monitor: None,
@@ -208,12 +206,6 @@ impl ServeConfig {
     pub fn with_stats_window(mut self, window_nanos: u64, capacity: usize) -> Self {
         self.stats_window_nanos = window_nanos;
         self.stats_window_capacity = capacity;
-        self
-    }
-
-    /// Returns a copy that keeps detector state across alarms.
-    pub fn keep_state_on_alarm(mut self) -> Self {
-        self.reset_on_alarm = false;
         self
     }
 }
@@ -617,7 +609,6 @@ impl ServeRuntime {
                     engine,
                     detector: config.detector,
                     metric: config.metric,
-                    reset_on_alarm: config.reset_on_alarm,
                     alarm_tx,
                     counters,
                     shard: index,
@@ -1465,7 +1456,6 @@ struct ShardState {
     detector: SequentialDetector,
     /// The decision metric — the only column a shard ever scores.
     metric: MetricKind,
-    reset_on_alarm: bool,
     alarm_tx: Sender<Alarm>,
     counters: Arc<SharedCounters>,
     /// This shard's index into the telemetry registry.
@@ -1565,9 +1555,7 @@ impl ShardState {
                     statistic: self.detector.statistic(state),
                     estimate: rows.estimate(i),
                 });
-                if self.reset_on_alarm {
-                    self.detector.reset(state);
-                }
+                self.detector.reset(state);
             }
         }
         update_span.stop();

@@ -3,7 +3,7 @@
 //!
 //! A [`TrafficModel`] models the serving workload: every round, each
 //! sensor in the population hears its neighbourhood through radio loss
-//! (each true neighbour is heard with the hear probability), re-runs
+//! (each true neighbour is heard with probability [`HEAR_PROB`]), re-runs
 //! localization on what it heard, and reports the resulting
 //! `(observation, estimate)` pair — the paper's one-shot pipeline applied
 //! round after round, which is what makes the per-round clean score
@@ -138,7 +138,6 @@ pub struct TrafficModel {
     /// Number of reporters in the compromised set (the timeline activates
     /// them gradually or all at once).
     compromised: usize,
-    hear_prob: f64,
     seed: u64,
     /// Post-revocation behaviour: `(node, round)` pairs, sorted by node —
     /// from `round` on the node no longer reports at all (a revoked
@@ -166,7 +165,6 @@ impl std::fmt::Debug for TrafficModel {
             .field("timeline", &self.timeline)
             .field("attack", &self.attack)
             .field("compromised", &self.compromised)
-            .field("hear_prob", &self.hear_prob)
             .field("seed", &self.seed)
             .field("silenced", &self.silenced.len())
             .field("notices", &self.notices.len())
@@ -233,24 +231,11 @@ impl TrafficModel {
             timeline: AttackTimeline::Clean,
             attack: None,
             compromised: 0,
-            hear_prob: DEFAULT_HEAR_PROB,
             seed,
             silenced: Vec::new(),
             notices: Vec::new(),
             evasion: None,
         }
-    }
-
-    /// Returns a copy with a different per-round hear probability (the
-    /// chance each true neighbour is heard in a given round). 1.0 disables
-    /// radio loss entirely — every clean report is then identical.
-    pub fn with_hear_prob(mut self, hear_prob: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&hear_prob),
-            "hear probability must be in [0, 1], got {hear_prob}"
-        );
-        self.hear_prob = hear_prob;
-        self
     }
 
     /// Returns a copy in which a `node_fraction` of the population turns
@@ -405,11 +390,6 @@ impl TrafficModel {
         self.reporters.iter().map(|r| r.node).collect()
     }
 
-    /// The number of reporters in the (eventually) compromised set.
-    pub fn compromised_count(&self) -> usize {
-        self.compromised
-    }
-
     /// The timeline's first attacked round, or `None` for clean traffic.
     pub fn onset(&self) -> Option<u64> {
         match self.attack {
@@ -496,7 +476,7 @@ impl TrafficModel {
                     attack.degree_of_damage,
                     knowledge.config().area(),
                 );
-                self.thin_into(&reporter.clean_observation, &mut rng, &mut heard);
+                Self::thin_into(&reporter.clean_observation, &mut rng, &mut heard);
                 let budget = (attack.compromised_fraction * heard.total() as f64).round() as usize;
                 knowledge.expected_observation_into(forged, &mut mu_scratch);
                 let tainted = taint_observation(
@@ -511,7 +491,7 @@ impl TrafficModel {
             } else {
                 // Honest report: hear the neighbourhood through radio
                 // loss, re-localize from what was heard.
-                self.thin_into(&reporter.clean_observation, &mut rng, &mut heard);
+                Self::thin_into(&reporter.clean_observation, &mut rng, &mut heard);
                 let estimate = self
                     .localizer
                     .estimate(&self.knowledge, &heard)
@@ -543,23 +523,20 @@ impl TrafficModel {
     }
 
     /// Radio loss: each observed neighbour survives the round independently
-    /// with the hear probability. Writes the heard counts into `out`.
-    fn thin_into(&self, observation: &Observation, rng: &mut ChaCha8Rng, out: &mut Observation) {
-        if self.hear_prob >= 1.0 {
-            out.clone_from(observation);
-            return;
-        }
+    /// with [`HEAR_PROB`]. Writes the heard counts into `out`.
+    fn thin_into(observation: &Observation, rng: &mut ChaCha8Rng, out: &mut Observation) {
         for (slot, &c) in out.counts_mut().iter_mut().zip(observation.counts()) {
             *slot = (0..c)
-                .filter(|_| rng.gen_range(0.0..1.0) < self.hear_prob)
+                .filter(|_| rng.gen_range(0.0..1.0) < HEAR_PROB)
                 .count() as u32;
         }
     }
 
     /// Convenience for calibration and offline evaluation: generates rounds
-    /// `rounds`, scores every report with `engine`, and returns one
-    /// per-node score stream (for `metric`) per reporter, in population
-    /// order — ready for `SequentialDetector::calibrate_*`.
+    /// `rounds`, scores every report for `metric` only (the engine's
+    /// single-metric kernel, bit-identical to that column of the fused
+    /// pass), and returns one per-node score stream per reporter, in
+    /// population order — ready for `SequentialDetector::calibrate_*`.
     ///
     /// # Panics
     /// Panics when the engine does not score `metric`, or when revocation
@@ -577,28 +554,26 @@ impl TrafficModel {
             self.silenced.is_empty(),
             "score_streams requires a model without revocation feedback"
         );
-        let column = engine
-            .metric_index(metric)
-            .expect("engine scores the requested metric");
-        let width = engine.metrics().len();
         let mut streams = vec![Vec::with_capacity(rounds.clone().count()); self.reporters.len()];
         let mut scores = Vec::new();
         let mut nodes = Vec::new();
         let mut rows = ObservationBatch::new(self.knowledge.group_count());
         for round in rounds {
             self.round_rows(network, round, &mut nodes, &mut rows);
-            engine.score_rows_into(&rows, &mut scores);
-            for (stream, row) in streams.iter_mut().zip(scores.chunks_exact(width)) {
-                stream.push(row[column]);
+            scores.resize(rows.len(), 0.0);
+            engine.score_rows_seq_one_into(&rows, metric, &mut scores);
+            for (stream, &score) in streams.iter_mut().zip(&scores) {
+                stream.push(score);
             }
         }
         streams
     }
 }
 
-/// Default per-round hear probability: light radio loss, enough to make
-/// clean score streams fluctuate round to round.
-pub const DEFAULT_HEAR_PROB: f64 = 0.9;
+/// Per-round hear probability — the chance each true neighbour is heard in
+/// a given round: light radio loss, enough to make clean score streams
+/// fluctuate round to round.
+pub const HEAR_PROB: f64 = 0.9;
 
 #[cfg(test)]
 mod tests {
@@ -665,8 +640,8 @@ mod tests {
         let attacked = clean.with_attack(AttackTimeline::Onset { at: 10 }, attack(150.0), 0.5);
         assert_eq!(attacked.onset(), Some(10));
         let population = attacked.nodes();
-        assert!(attacked.compromised_count() > 0);
-        assert!(attacked.compromised_count() < population.len());
+        assert!(attacked.compromised > 0);
+        assert!(attacked.compromised < population.len());
 
         // Before onset nobody attacks; afterwards exactly the compromised
         // set does, and their estimates move (forged locations).
@@ -676,7 +651,7 @@ mod tests {
             .copied()
             .filter(|&n| attacked.is_attacked(n, 10))
             .collect();
-        assert_eq!(hostile.len(), attacked.compromised_count());
+        assert_eq!(hostile.len(), attacked.compromised);
         let pre = round(&attacked, &network, 9);
         let clean_round = round(&clean, &network, 9);
         assert_eq!(pre, clean_round, "pre-onset traffic is exactly clean");
@@ -754,14 +729,6 @@ mod tests {
             mean(&attacked_streams) > 2.0 * mean(&clean_streams),
             "a D=200 full compromise must dominate clean scores"
         );
-    }
-
-    #[test]
-    fn hear_prob_one_freezes_clean_reports() {
-        let engine = engine();
-        let network = Network::generate(engine.knowledge().clone(), 8);
-        let frozen = model(&engine, &network).with_hear_prob(1.0);
-        assert_eq!(round(&frozen, &network, 0), round(&frozen, &network, 17));
     }
 
     #[test]

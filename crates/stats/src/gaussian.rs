@@ -4,7 +4,6 @@
 //! `G_i` at a resident point drawn from an isotropic 2-D Gaussian centred at
 //! the group's deployment point with per-axis standard deviation σ.
 
-use crate::erf::std_normal_cdf;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -28,11 +27,6 @@ impl Gaussian1d {
     pub fn pdf(&self, x: f64) -> f64 {
         let z = (x - self.mean) / self.sigma;
         (-0.5 * z * z).exp() / (self.sigma * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
-    /// Cumulative distribution at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        std_normal_cdf((x - self.mean) / self.sigma)
     }
 
     /// Draws a sample (Box–Muller, single value).
@@ -77,14 +71,6 @@ impl IsotropicGaussian2d {
         (-(dx * dx + dy * dy) / (2.0 * s2)).exp() / (2.0 * std::f64::consts::PI * s2)
     }
 
-    /// Probability that a sample falls inside the axis-aligned rectangle
-    /// `[x0, x1] × [y0, y1]` (product of the two 1-D probabilities).
-    pub fn prob_in_rect(&self, x0: f64, x1: f64, y0: f64, y1: f64) -> f64 {
-        let gx = Gaussian1d::new(self.mean_x, self.sigma);
-        let gy = Gaussian1d::new(self.mean_y, self.sigma);
-        (gx.cdf(x1) - gx.cdf(x0)).max(0.0) * (gy.cdf(y1) - gy.cdf(y0)).max(0.0)
-    }
-
     /// Probability that a sample lands within distance `r` of the mean.
     ///
     /// The radial distance of an isotropic Gaussian is Rayleigh(σ), so this is
@@ -127,14 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_endpoints() {
-        let g = Gaussian1d::new(0.0, 1.0);
-        assert!(g.cdf(-10.0) < 1e-9);
-        assert!(g.cdf(10.0) > 1.0 - 1e-9);
-        assert!((g.cdf(0.0) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn pdf_2d_matches_paper_example_peak() {
         // Figure 2 of the paper: sigma = 50, peak value 1/(2*pi*50^2) ≈ 6.37e-5.
         let g = IsotropicGaussian2d::new(150.0, 150.0, 50.0);
@@ -149,13 +127,6 @@ mod tests {
         assert_eq!(g.prob_within_radius(0.0), 0.0);
         assert!((g.prob_within_radius(50.0) - (1.0 - (-0.5f64).exp())).abs() < 1e-12);
         assert!(g.prob_within_radius(1e4) > 1.0 - 1e-12);
-    }
-
-    #[test]
-    fn prob_in_rect_full_plane_is_one() {
-        let g = IsotropicGaussian2d::new(10.0, -5.0, 3.0);
-        let p = g.prob_in_rect(-1e3, 1e3, -1e3, 1e3);
-        assert!((p - 1.0).abs() < 1e-6);
     }
 
     #[test]

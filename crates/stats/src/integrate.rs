@@ -74,19 +74,6 @@ fn adaptive_rec<F: Fn(f64) -> f64 + Copy>(
     }
 }
 
-/// Trapezoidal rule over `[a, b]` with `n` subintervals.
-pub fn trapezoid<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
-    if n == 0 || a == b {
-        return 0.0;
-    }
-    let h = (b - a) / n as f64;
-    let mut sum = 0.5 * (f(a) + f(b));
-    for i in 1..n {
-        sum += f(a + i as f64 * h);
-    }
-    sum * h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,14 +109,7 @@ mod tests {
         let f = |x: f64| x;
         assert!((simpson(f, 0.0, 2.0, 3) - 2.0).abs() < 1e-12);
         assert_eq!(simpson(f, 1.0, 1.0, 100), 0.0);
-        assert_eq!(trapezoid(f, 1.0, 1.0, 100), 0.0);
         assert_eq!(simpson(f, 0.0, 1.0, 0), 0.0);
-    }
-
-    #[test]
-    fn trapezoid_converges() {
-        let got = trapezoid(|x| x * x, 0.0, 1.0, 10_000);
-        assert!((got - 1.0 / 3.0).abs() < 1e-7);
     }
 
     proptest! {

@@ -34,34 +34,6 @@ pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
     d.min(1.0)
 }
 
-/// An asymptotic p-value for the two-sample KS statistic (Kolmogorov
-/// distribution approximation). Small p-values indicate the samples come from
-/// different distributions. Accuracy is adequate for the sample sizes used in
-/// the harness (hundreds of points); it is not meant for small-sample exact
-/// inference.
-pub fn ks_p_value(statistic: f64, n_a: usize, n_b: usize) -> f64 {
-    if n_a == 0 || n_b == 0 {
-        return 1.0;
-    }
-    let n_eff = (n_a as f64 * n_b as f64) / (n_a as f64 + n_b as f64);
-    let lambda = (n_eff.sqrt() + 0.12 + 0.11 / n_eff.sqrt()) * statistic;
-    if lambda < 1e-3 {
-        // The alternating series does not converge numerically at lambda ≈ 0;
-        // the limit of the survival function there is 1.
-        return 1.0;
-    }
-    // Q_KS(lambda) = 2 * sum_{j>=1} (-1)^{j-1} exp(-2 j^2 lambda^2)
-    let mut sum = 0.0;
-    for j in 1..=100 {
-        let term = (-2.0 * (j as f64) * (j as f64) * lambda * lambda).exp();
-        sum += if j % 2 == 1 { term } else { -term };
-        if term < 1e-12 {
-            break;
-        }
-    }
-    (2.0 * sum).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,7 +43,6 @@ mod tests {
     fn identical_samples_have_zero_distance() {
         let a: Vec<f64> = (0..100).map(|i| i as f64).collect();
         assert_eq!(ks_statistic(&a, &a), 0.0);
-        assert!(ks_p_value(0.0, 100, 100) > 0.99);
     }
 
     #[test]
@@ -79,7 +50,6 @@ mod tests {
         let a: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let b: Vec<f64> = (100..150).map(|i| i as f64).collect();
         assert!((ks_statistic(&a, &b) - 1.0).abs() < 1e-12);
-        assert!(ks_p_value(1.0, 50, 50) < 1e-6);
     }
 
     #[test]
@@ -88,14 +58,12 @@ mod tests {
         let b: Vec<f64> = (0..200).map(|i| i as f64 / 10.0 + 5.0).collect();
         let d = ks_statistic(&a, &b);
         assert!(d > 0.2 && d < 0.5, "d = {d}");
-        assert!(ks_p_value(d, 200, 200) < 0.01);
     }
 
     #[test]
     fn empty_samples_are_neutral() {
         assert_eq!(ks_statistic(&[], &[1.0]), 0.0);
         assert_eq!(ks_statistic(&[1.0], &[]), 0.0);
-        assert_eq!(ks_p_value(0.5, 0, 10), 1.0);
     }
 
     proptest! {
@@ -108,13 +76,6 @@ mod tests {
             let d2 = ks_statistic(&b, &a);
             prop_assert!((d1 - d2).abs() < 1e-12);
             prop_assert!((0.0..=1.0).contains(&d1));
-        }
-
-        #[test]
-        fn prop_p_value_decreases_with_statistic(n in 10usize..500) {
-            let p_small = ks_p_value(0.05, n, n);
-            let p_large = ks_p_value(0.5, n, n);
-            prop_assert!(p_large <= p_small + 1e-12);
         }
     }
 }

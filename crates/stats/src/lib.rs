@@ -7,9 +7,9 @@
 //! * the probability metric needs a numerically stable **binomial pmf**
 //!   ([`binomial`]),
 //! * the deployment model is a 2-D isotropic **Gaussian**, whose radial
-//!   distance is **Rayleigh** ([`gaussian`], [`rayleigh`], [`erf`]),
+//!   distance is **Rayleigh** ([`gaussian`], [`rayleigh`]),
 //! * threshold training uses **percentiles** ([`percentile`]) over sampled
-//!   metric values ([`histogram`], [`summary`]),
+//!   metric values ([`summary`]),
 //! * the evaluation section is built around **ROC curves** ([`roc`]) and
 //!   their O(bins)-memory **streaming accumulators** ([`streaming`]),
 //! * the online serving runtime needs **sequential detectors** over
@@ -23,9 +23,7 @@
 #![warn(clippy::all)]
 
 pub mod binomial;
-pub mod erf;
 pub mod gaussian;
-pub mod histogram;
 pub mod integrate;
 pub mod ks;
 pub mod lookup;
@@ -39,7 +37,6 @@ pub mod summary;
 
 pub use binomial::Binomial;
 pub use gaussian::{Gaussian1d, IsotropicGaussian2d};
-pub use histogram::Histogram;
 pub use lookup::{LookupTable, PreparedLookup};
 pub use rayleigh::Rayleigh;
 pub use roc::{RocCurve, RocPoint};

@@ -7,11 +7,9 @@
 //!
 //! [`LookupTable`] is that table, generic over the tabulated function.
 
-use serde::{Deserialize, Serialize};
-
 /// A uniformly spaced 1-D lookup table over `[min, max]` with `omega`
 /// sub-ranges (`omega + 1` stored samples) and linear interpolation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LookupTable {
     min: f64,
     max: f64,
@@ -29,26 +27,9 @@ impl LookupTable {
         Self { min, max, values }
     }
 
-    /// Constructs a table directly from precomputed `values` over `[min, max]`.
-    pub fn from_values(min: f64, max: f64, values: Vec<f64>) -> Self {
-        assert!(max > min, "lookup range must be non-empty");
-        assert!(values.len() >= 2, "need at least two samples");
-        Self { min, max, values }
-    }
-
     /// Number of sub-ranges ω.
     pub fn omega(&self) -> usize {
         self.values.len() - 1
-    }
-
-    /// Lower bound of the tabulated domain.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Upper bound of the tabulated domain.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 
     /// Evaluates the table at `x` with linear interpolation. Arguments outside
@@ -172,17 +153,6 @@ mod tests {
         let e_fine = fine.max_error_against(f, 8);
         assert!(e_fine < e_coarse);
         assert!(e_fine < 1e-3);
-    }
-
-    #[test]
-    fn from_values_round_trip() {
-        let t = LookupTable::from_values(0.0, 2.0, vec![1.0, 3.0, 5.0]);
-        assert_eq!(t.omega(), 2);
-        assert_eq!(t.eval(0.0), 1.0);
-        assert_eq!(t.eval(1.0), 3.0);
-        assert_eq!(t.eval(1.5), 4.0);
-        assert_eq!(t.min(), 0.0);
-        assert_eq!(t.max(), 2.0);
     }
 
     proptest! {

@@ -148,16 +148,6 @@ impl RocCurve {
             .map(|p| p.detection_rate)
             .fold(0.0, f64::max)
     }
-
-    /// The threshold achieving [`Self::detection_rate_at_fp`] for the given
-    /// budget, or `None` when no point qualifies.
-    pub fn threshold_at_fp(&self, max_fp: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|p| p.false_positive_rate <= max_fp + 1e-12)
-            .max_by(|a, b| a.detection_rate.partial_cmp(&b.detection_rate).unwrap())
-            .map(|p| p.threshold)
-    }
 }
 
 #[cfg(test)]
@@ -172,8 +162,6 @@ mod tests {
         let roc = RocCurve::from_scores(&normal, &anomaly);
         assert!((roc.auc() - 1.0).abs() < 1e-9);
         assert_eq!(roc.detection_rate_at_fp(0.0), 1.0);
-        let thr = roc.threshold_at_fp(0.0).unwrap();
-        assert!((3.0..10.0).contains(&thr));
     }
 
     #[test]

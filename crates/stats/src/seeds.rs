@@ -50,36 +50,6 @@ pub fn seeded_partial_shuffle(n: usize, prefix: usize, seed: u64) -> Vec<u32> {
     pool
 }
 
-/// A small helper bundling a master seed, offering ergonomic derivation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeedSequence {
-    master: u64,
-}
-
-impl SeedSequence {
-    /// Creates a sequence rooted at `master`.
-    pub fn new(master: u64) -> Self {
-        Self { master }
-    }
-
-    /// The master seed.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
-    /// Derives the seed for the given index path.
-    pub fn seed_for(&self, indices: &[u64]) -> u64 {
-        derive_seed(self.master, indices)
-    }
-
-    /// A child sequence rooted at the derived seed for `index`.
-    pub fn child(&self, index: u64) -> SeedSequence {
-        SeedSequence {
-            master: self.seed_for(&[index]),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,24 +79,14 @@ mod tests {
     #[test]
     fn seeds_are_wellspread() {
         // No collisions across a realistic experiment-sized index grid.
-        let seq = SeedSequence::new(42);
         let mut seen = HashSet::new();
         for exp in 0..10u64 {
             for param in 0..20u64 {
                 for trial in 0..50u64 {
-                    assert!(seen.insert(seq.seed_for(&[exp, param, trial])));
+                    assert!(seen.insert(derive_seed(42, &[exp, param, trial])));
                 }
             }
         }
         assert_eq!(seen.len(), 10 * 20 * 50);
-    }
-
-    #[test]
-    fn child_sequences_compose() {
-        let root = SeedSequence::new(7);
-        let child = root.child(3);
-        assert_eq!(child.master(), root.seed_for(&[3]));
-        assert_ne!(child.seed_for(&[1]), root.seed_for(&[1]));
-        assert_eq!(root.master(), 7);
     }
 }

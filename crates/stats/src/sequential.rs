@@ -31,7 +31,7 @@
 //! evaluation substrate's clean-score collection) and a **target per-round
 //! false-alarm rate**. Calibration replays the detector over the clean
 //! streams with the deployed semantics — **state resets after every
-//! alarm**, the `lad_serve` default — and picks the smallest threshold
+//! alarm**, as `lad_serve` always does — and picks the smallest threshold
 //! whose replayed alarm rate does not exceed the target (for an alarm rate
 //! `α` this is the classic average-run-length calibration `ARL₀ ≥ 1/α`).
 //! That yields a hard guarantee *on the calibration streams themselves*:
@@ -200,27 +200,6 @@ impl SequentialDetector {
         let pooled = pool(&streams);
         let reference = percentile::quantile(&pooled, CUSUM_REFERENCE_QUANTILE)
             .expect("calibration needs at least one clean score");
-        Self::calibrate_cusum_with_reference_inner(&streams, target_far, reference)
-    }
-
-    /// Like [`Self::calibrate_cusum`] with an explicit drift reference.
-    pub fn calibrate_cusum_with_reference<'a, I>(
-        clean_streams: I,
-        target_far: f64,
-        reference: f64,
-    ) -> Self
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        let streams: Vec<&[f64]> = clean_streams.into_iter().collect();
-        Self::calibrate_cusum_with_reference_inner(&streams, target_far, reference)
-    }
-
-    fn calibrate_cusum_with_reference_inner(
-        streams: &[&[f64]],
-        target_far: f64,
-        reference: f64,
-    ) -> Self {
         let probe = SequentialDetector::Cusum {
             reference,
             threshold: f64::INFINITY,
@@ -230,8 +209,8 @@ impl SequentialDetector {
                 reference,
                 threshold,
             },
-            replay(&probe, streams),
-            streams,
+            replay(&probe, &streams),
+            &streams,
             target_far,
         );
         SequentialDetector::Cusum {
@@ -354,7 +333,7 @@ pub const CUSUM_REFERENCE_QUANTILE: f64 = 0.92;
 
 /// The false-alarm rate `detector` realises on `streams` when replayed
 /// with the deployed semantics: fresh state per stream, **reset after
-/// every alarm** (the `lad_serve` default). This is the quantity the
+/// every alarm** (what `lad_serve` always does). This is the quantity the
 /// `calibrate_*` constructors drive to the target — for an alarm rate `α`
 /// it is exactly the reciprocal of the clean average run length `ARL₀`.
 pub fn reset_replay_alarm_rate(detector: &SequentialDetector, streams: &[&[f64]]) -> f64 {
@@ -482,7 +461,7 @@ mod tests {
     }
 
     /// Deployed-semantics replay: reset after every alarm (what calibration
-    /// targets and what `lad_serve` runs by default).
+    /// targets and what `lad_serve` always runs).
     fn alarm_fraction(detector: &SequentialDetector, stream: &[f64]) -> f64 {
         reset_replay_alarm_rate(detector, &[stream])
     }

@@ -26,26 +26,6 @@ impl Summary {
         }
         acc.summary()
     }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
-    /// A normal-approximation 95 % confidence interval for the mean.
-    pub fn ci95(&self) -> (f64, f64) {
-        let half = 1.96 * self.std_error();
-        (self.mean - half, self.mean + half)
-    }
 }
 
 /// Welford's online mean/variance accumulator — numerically stable and
@@ -157,14 +137,6 @@ mod tests {
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.variance, 0.0);
-        assert_eq!(s.std_error(), 0.0);
-    }
-
-    #[test]
-    fn ci95_contains_mean() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let (lo, hi) = s.ci95();
-        assert!(lo <= s.mean && s.mean <= hi);
     }
 
     #[test]

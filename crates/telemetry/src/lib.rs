@@ -174,11 +174,6 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Number of shard registries.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Shard `i`'s registry (for the thread folding that shard's batches
     /// and the submitters stamping its queue counters).
     #[inline]
