@@ -32,12 +32,6 @@ pub fn displaced_location<R: Rng + ?Sized>(
     sampling::at_distance_in_rect(rng, actual, degree_of_damage, area, MAX_TRIES)
 }
 
-/// Whether a localization result constitutes a D-anomaly for the given
-/// maximum tolerable error / degree of damage (Definition 2/3).
-pub fn is_anomaly(actual: Point2, estimated: Point2, threshold_distance: f64) -> bool {
-    actual.distance(estimated) > threshold_distance
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,15 +62,6 @@ mod tests {
             assert!(area.contains(le));
             assert!(corner.distance(le) <= 150.0 + 1e-9);
         }
-    }
-
-    #[test]
-    fn is_anomaly_matches_definition() {
-        let a = Point2::new(0.0, 0.0);
-        let e = Point2::new(30.0, 40.0); // 50 m away
-        assert!(is_anomaly(a, e, 40.0));
-        assert!(!is_anomaly(a, e, 50.0));
-        assert!(!is_anomaly(a, a, 0.0));
     }
 
     #[test]

@@ -102,10 +102,9 @@ mod tests {
     #[test]
     fn dos_increases_every_metric_under_dec_bounded() {
         for metric in MetricKind::ALL {
-            let scorer = metric.metric();
-            let before = scorer.score(&clean(), &mu(), M);
+            let before = metric.score(&clean(), &mu(), M);
             let tainted = dos_taint(AttackClass::DecBounded, metric, &clean(), &mu(), 5, 30, M);
-            let after = scorer.score(&tainted, &mu(), M);
+            let after = metric.score(&tainted, &mu(), M);
             assert!(
                 after > before,
                 "{}: DoS should raise the score",
@@ -136,7 +135,7 @@ mod tests {
 
     #[test]
     fn more_forged_messages_do_more_damage() {
-        let scorer = MetricKind::Diff.metric();
+        let metric = MetricKind::Diff;
         let few = dos_taint(
             AttackClass::DecBounded,
             MetricKind::Diff,
@@ -155,7 +154,7 @@ mod tests {
             50,
             M,
         );
-        assert!(scorer.score(&many, &mu(), M) > scorer.score(&few, &mu(), M));
+        assert!(metric.score(&many, &mu(), M) > metric.score(&few, &mu(), M));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! toy instances.
 
 use crate::classes::AttackClass;
-use lad_core::{DetectionMetric, MetricKind};
+use lad_core::MetricKind;
 use lad_net::Observation;
 
 /// The minimum metric score achievable by an attacker of class `class` with
@@ -49,7 +49,6 @@ pub fn optimal_taint_score(
         "exhaustive search limited to small per-group counts"
     );
 
-    let scorer = metric.metric();
     let n = clean.group_count();
 
     // Candidate values per group.
@@ -76,7 +75,7 @@ pub fn optimal_taint_score(
         budget as u64,
         group_size,
         &mut current,
-        scorer.as_ref(),
+        metric,
         &mut best,
     );
     best
@@ -91,13 +90,13 @@ fn search(
     budget: u64,
     group_size: usize,
     current: &mut Observation,
-    scorer: &dyn DetectionMetric,
+    metric: MetricKind,
     best: &mut f64,
 ) {
     if group == candidates.len() {
         let decrease = clean.decrease_cost(current);
         if decrease <= budget {
-            let score = scorer.score(current, mu, group_size);
+            let score = metric.score(current, mu, group_size);
             if score < *best {
                 *best = score;
             }
@@ -121,7 +120,7 @@ fn search(
             budget,
             group_size,
             current,
-            scorer,
+            metric,
             best,
         );
     }
@@ -144,7 +143,7 @@ mod tests {
         budget: usize,
     ) -> f64 {
         let tainted = taint_observation(class, metric, clean, mu, budget, M);
-        metric.metric().score(&tainted, mu, M)
+        metric.score(&tainted, mu, M)
     }
 
     #[test]

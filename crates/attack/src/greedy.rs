@@ -177,7 +177,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lad_core::{AddAllMetric, DetectionMetric, DiffMetric, ProbabilityMetric};
     use proptest::prelude::*;
 
     const M: usize = 300;
@@ -201,7 +200,7 @@ mod tests {
             1000,
             M,
         );
-        let dm = DiffMetric.score(&tainted, &mu_at_forged_location(), M);
+        let dm = MetricKind::Diff.score(&tainted, &mu_at_forged_location(), M);
         assert!(
             dm < 1.0,
             "unlimited budget should null the Diff metric, got {dm}"
@@ -220,8 +219,8 @@ mod tests {
                     budget,
                     M,
                 );
-                let before = DiffMetric.score(&clean(), &mu_at_forged_location(), M);
-                let after = DiffMetric.score(&tainted, &mu_at_forged_location(), M);
+                let before = MetricKind::Diff.score(&clean(), &mu_at_forged_location(), M);
+                let after = MetricKind::Diff.score(&tainted, &mu_at_forged_location(), M);
                 assert!(
                     after <= before + 1e-9,
                     "{}: {after} > {before}",
@@ -235,12 +234,11 @@ mod tests {
     #[test]
     fn dec_bounded_is_at_least_as_strong_as_dec_only() {
         for metric in MetricKind::ALL {
-            let scorer = metric.metric();
             let mu = mu_at_forged_location();
             let bounded = taint_observation(AttackClass::DecBounded, metric, &clean(), &mu, 5, M);
             let only = taint_observation(AttackClass::DecOnly, metric, &clean(), &mu, 5, M);
-            let s_bounded = scorer.score(&bounded, &mu, M);
-            let s_only = scorer.score(&only, &mu, M);
+            let s_bounded = metric.score(&bounded, &mu, M);
+            let s_only = metric.score(&only, &mu, M);
             assert!(
                 s_bounded <= s_only + 1e-9,
                 "{}: dec-bounded {s_bounded} should be <= dec-only {s_only}",
@@ -252,13 +250,12 @@ mod tests {
     #[test]
     fn larger_budgets_never_hurt_the_attacker() {
         for metric in MetricKind::ALL {
-            let scorer = metric.metric();
             let mu = mu_at_forged_location();
             let mut prev = f64::INFINITY;
             for budget in [0usize, 2, 5, 10, 50] {
                 let tainted =
                     taint_observation(AttackClass::DecBounded, metric, &clean(), &mu, budget, M);
-                let s = scorer.score(&tainted, &mu, M);
+                let s = metric.score(&tainted, &mu, M);
                 assert!(
                     s <= prev + 1e-9,
                     "{}: budget {budget} score {s} worse than smaller budget {prev}",
@@ -284,15 +281,16 @@ mod tests {
             assert!(c <= clean().count(i));
         }
         assert!(
-            AddAllMetric.score(&tainted, &mu_at_forged_location(), M)
-                < AddAllMetric.score(&clean(), &mu_at_forged_location(), M)
+            MetricKind::AddAll.score(&tainted, &mu_at_forged_location(), M)
+                < MetricKind::AddAll.score(&clean(), &mu_at_forged_location(), M)
         );
     }
 
     #[test]
     fn probability_taint_raises_the_minimum_likelihood() {
         let mu = mu_at_forged_location();
-        let before = ProbabilityMetric::min_probability(&clean(), &mu, M);
+        // The score is −ln of the minimum likelihood: lower is likelier.
+        let before = MetricKind::Probability.score(&clean(), &mu, M);
         let tainted = taint_observation(
             AttackClass::DecBounded,
             MetricKind::Probability,
@@ -301,8 +299,8 @@ mod tests {
             6,
             M,
         );
-        let after = ProbabilityMetric::min_probability(&tainted, &mu, M);
-        assert!(after >= before, "attacker should raise the min likelihood");
+        let after = MetricKind::Probability.score(&tainted, &mu, M);
+        assert!(after <= before, "attacker should raise the min likelihood");
         assert!(AttackClass::DecBounded.complies(&clean(), &tainted, 6, M));
     }
 
@@ -335,10 +333,9 @@ mod tests {
             let clean = Observation::from_counts(counts);
             for class in AttackClass::ALL {
                 for metric in MetricKind::ALL {
-                    let scorer = metric.metric();
                     let tainted = taint_observation(class, metric, &clean, &mu, budget, 100);
                     prop_assert!(
-                        scorer.score(&tainted, &mu, 100) <= scorer.score(&clean, &mu, 100) + 1e-9,
+                        metric.score(&tainted, &mu, 100) <= metric.score(&clean, &mu, 100) + 1e-9,
                         "{} / {} made things worse for the attacker", class.name(), metric.name()
                     );
                 }

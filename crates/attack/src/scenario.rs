@@ -177,7 +177,7 @@ mod tests {
         let knowledge = net.knowledge();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let cfg = AttackConfig::paper_default(160.0);
-        let metric = MetricKind::Diff.metric();
+        let metric = MetricKind::Diff;
         let mut attacked_higher = 0usize;
         let total = 40usize;
         for i in 0..total {

@@ -1,12 +1,12 @@
 //! Microbenchmarks of the hot kernels: g(z) evaluation, metric scoring
-//! (dense oracle and sparse), neighbourhood queries, MLE localization,
+//! (dense reference and sparse), neighbourhood queries, MLE localization,
 //! greedy taint generation — and the engine's batched row verification
 //! and scoring at 1 k and 100 k reports.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lad_attack::{taint_observation, AttackClass};
 use lad_core::engine::LadEngine;
-use lad_core::metrics::{score_all_fused, score_all_fused_sparse};
+use lad_core::metrics::score_all_fused_sparse;
 use lad_core::MetricKind;
 use lad_deployment::{gz_exact, DeploymentConfig, DeploymentKnowledge, GzTable, SparseMu};
 use lad_geometry::Point2;
@@ -47,12 +47,10 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| network.true_observation(black_box(victim)))
     });
     group.bench_function("diff_metric_score", |b| {
-        let metric = MetricKind::Diff.metric();
-        b.iter(|| metric.score(black_box(&obs), black_box(&mu), m))
+        b.iter(|| MetricKind::Diff.score(black_box(&obs), black_box(&mu), m))
     });
     group.bench_function("probability_metric_score", |b| {
-        let metric = MetricKind::Probability.metric();
-        b.iter(|| metric.score(black_box(&obs), black_box(&mu), m))
+        b.iter(|| MetricKind::Probability.score(black_box(&obs), black_box(&mu), m))
     });
     group.bench_function("beaconless_mle_localize", |b| {
         b.iter(|| localizer.estimate(&knowledge, black_box(&obs)))
@@ -74,25 +72,16 @@ fn bench_kernels(c: &mut Criterion) {
     });
     for kind in MetricKind::ALL {
         group.bench_function(&format!("{}_metric_score_paper_scale", kind.name()), |b| {
-            let metric = kind.metric();
-            b.iter(|| metric.score(black_box(&paper_obs), black_box(&paper_mu), paper_m))
+            b.iter(|| kind.score(black_box(&paper_obs), black_box(&paper_mu), paper_m))
         });
     }
-    // The headline kernel comparison: the full per-request fused scoring
-    // path at paper scale (n = 100 groups), dense vs sparse. Dense fills the
-    // n-entry µ vector and scans all n `(o, µ)` pairs; sparse enumerates the
-    // O(k) g(z) support via the spatial index and merges it against the
-    // observation's nonzeros (CSR row). Scores are bit-identical.
+    // The full per-request fused scoring path at paper scale (n = 100
+    // groups): enumerate the O(k) g(z) support via the spatial index and
+    // merge it against the observation's nonzeros (CSR row). The dense
+    // per-metric reference it is bit-identical to is timed above.
     let paper_at = Point2::new(500.0, 400.0);
     let mut paper_batch = ObservationBatch::new(paper_knowledge.group_count());
     paper_batch.push(&paper_obs, paper_at);
-    group.bench_function("fused_score_dense_paper_scale", |b| {
-        let mut scratch = Vec::new();
-        b.iter(|| {
-            paper_knowledge.expected_observation_into(black_box(paper_at), &mut scratch);
-            score_all_fused(black_box(&paper_obs), &scratch, paper_m)
-        })
-    });
     group.bench_function("fused_score_sparse_paper_scale", |b| {
         let mut smu = SparseMu::new();
         b.iter(|| {
@@ -107,11 +96,10 @@ fn bench_kernels(c: &mut Criterion) {
             smu.len()
         })
     });
-    // Same comparison on a 4× deployment (20×20 groups over 2000 m at the
+    // The same kernel on a 4× deployment (20×20 groups over 2000 m at the
     // paper's density): the support size k is set by the g(z) tail and the
     // deployment-point density, not n, so the sparse path's cost stays flat
-    // while the dense path scales with n. This is where O(k) vs O(n)
-    // separates — and the scale the serving roadmap grows toward.
+    // as n grows — the scale the serving roadmap grows toward.
     let big = DeploymentConfig {
         area_side: 2000.0,
         grid_cols: 20,
@@ -126,13 +114,6 @@ fn bench_kernels(c: &mut Criterion) {
     };
     let mut big_batch = ObservationBatch::new(big_knowledge.group_count());
     big_batch.push(&big_obs, big_at);
-    group.bench_function("fused_score_dense_4x_scale", |b| {
-        let mut scratch = Vec::new();
-        b.iter(|| {
-            big_knowledge.expected_observation_into(black_box(big_at), &mut scratch);
-            score_all_fused(black_box(&big_obs), &scratch, big.group_size)
-        })
-    });
     group.bench_function("fused_score_sparse_4x_scale", |b| {
         let mut smu = SparseMu::new();
         b.iter(|| {

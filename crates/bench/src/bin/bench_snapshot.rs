@@ -32,7 +32,7 @@
 
 use lad_core::engine::LadEngine;
 use lad_core::expected::rounded_expected;
-use lad_core::metrics::{score_all_fused, score_all_fused_sparse};
+use lad_core::metrics::score_all_fused_sparse;
 use lad_core::MetricKind;
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
 use lad_geometry::Point2;
@@ -46,22 +46,24 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One kernel measurement: the dense path vs the sparse fill + fused pass vs
-/// the memoized (cache-hit) fused pass, all bit-identical.
+/// One kernel measurement: the dense per-metric reference vs the sparse
+/// fill + fused pass vs the memoized (cache-hit) fused pass, all
+/// bit-identical.
 #[derive(Debug, Serialize)]
 struct KernelScale {
     /// Number of deployment groups `n`.
     groups: usize,
     /// Support size `k` at the probed estimate.
     support: usize,
-    /// Full per-request dense path: µ fill + fused scan, ns.
+    /// Full per-request dense reference: µ fill + one dense
+    /// [`MetricKind::score`] scan per metric, ns.
     dense_ns_per_score: f64,
     /// Full per-request sparse path: support fill + scalar fused scan, ns.
     sparse_ns_per_score: f64,
     /// Cache-hit µ lookup + fused scan over the slot's arrays in place —
     /// the serve hot path on a repeated estimate, ns.
     cached_ns_per_score: f64,
-    /// dense / sparse (the PR-4 headline, kept comparable).
+    /// dense / sparse.
     speedup: f64,
     /// sparse / cached (what memoization buys on a hit).
     cached_vs_scalar: f64,
@@ -291,7 +293,10 @@ fn kernel_scale(effort: Effort, cfg: &DeploymentConfig, at: Point2, obs_at: Poin
     let mut dense = Vec::new();
     let dense_ns = time_ns(effort, || {
         knowledge.expected_observation_into(black_box(at), &mut dense);
-        score_all_fused(black_box(&obs), &dense, cfg.group_size)[0]
+        MetricKind::ALL
+            .iter()
+            .map(|kind| kind.score(black_box(&obs), &dense, cfg.group_size))
+            .sum::<f64>()
     });
     let sparse_ns = time_ns(effort, || {
         knowledge.expected_sparse_into(black_box(at), &mut smu);

@@ -47,7 +47,7 @@
 //! assert_eq!(verdicts[0].verdicts.len(), 3); // one per configured metric
 //! ```
 
-use crate::metrics::{DetectionMetric, MetricKind};
+use crate::metrics::MetricKind;
 use crate::threshold::TrainedThresholds;
 use crate::training::{Trainer, TrainingConfig};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, MuView, SparseMu};
@@ -336,10 +336,10 @@ thread_local! {
 ///
 /// Build with [`LadEngine::builder`]; see the [module docs](self) for the
 /// design and a usage example.
+#[derive(Clone)]
 pub struct LadEngine {
     knowledge: Arc<DeploymentKnowledge>,
     artifact: EngineArtifact,
-    scorers: Vec<Box<dyn DetectionMetric>>,
     /// True when the configured metrics are exactly `MetricKind::ALL` in
     /// order: scoring then takes the fused single-pass kernel
     /// ([`crate::metrics::score_all_fused_sparse`]) instead of one pass per
@@ -359,18 +359,6 @@ impl fmt::Debug for LadEngine {
     }
 }
 
-impl Clone for LadEngine {
-    fn clone(&self) -> Self {
-        Self {
-            knowledge: self.knowledge.clone(),
-            artifact: self.artifact.clone(),
-            scorers: self.artifact.metrics.iter().map(|k| k.metric()).collect(),
-            fused: self.fused,
-            localizer: self.localizer.clone(),
-        }
-    }
-}
-
 impl LadEngine {
     /// Starts building an engine.
     pub fn builder() -> LadEngineBuilder {
@@ -382,12 +370,10 @@ impl LadEngine {
         artifact: EngineArtifact,
         localizer: Arc<dyn LocalizationScheme>,
     ) -> Self {
-        let scorers = artifact.metrics.iter().map(|k| k.metric()).collect();
         let fused = artifact.metrics == MetricKind::ALL;
         Self {
             knowledge,
             artifact,
-            scorers,
             fused,
             localizer,
         }
@@ -488,7 +474,7 @@ impl LadEngine {
         self.assert_verifiable();
         let mut row = ObservationBatch::new(observation.group_count());
         row.push(observation, estimate);
-        let mut scores = vec![0.0; self.scorers.len()];
+        let mut scores = vec![0.0; self.artifact.metrics.len()];
         self.score_rows_range_into(&row, 0..1, &mut scores);
         self.verdict(estimate, &scores)
     }
@@ -505,7 +491,7 @@ impl LadEngine {
         let mut scores = Vec::new();
         self.score_rows_into(batch, &mut scores);
         scores
-            .chunks_exact(self.scorers.len())
+            .chunks_exact(self.artifact.metrics.len())
             .enumerate()
             .map(|(r, row)| self.verdict(batch.estimate(r), row))
             .collect()
@@ -567,7 +553,8 @@ impl LadEngine {
     /// deployment (the once-per-batch boundary check; rows are validated at
     /// [`ObservationBatch::push`] time).
     pub fn score_rows_into(&self, batch: &ObservationBatch, out: &mut Vec<f64>) {
-        Self::par_fill_rows(batch.len(), self.scorers.len(), out, |range, rows| {
+        let width = self.artifact.metrics.len();
+        Self::par_fill_rows(batch.len(), width, out, |range, rows| {
             self.score_rows_range_into(batch, range, rows)
         });
     }
@@ -582,17 +569,7 @@ impl LadEngine {
         range: std::ops::Range<usize>,
         out: &mut [f64],
     ) {
-        let width = self.scorers.len();
-        assert_eq!(
-            batch.group_count(),
-            self.knowledge.group_count(),
-            "batch/deployment group-count mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            range.len() * width,
-            "output buffer must hold {width} scores per row"
-        );
+        let width = self.check_scoring(batch, range.len(), None, out.len());
         MU_SCRATCH.with(|cell| {
             let smu = &mut *cell.borrow_mut();
             for (r, row_out) in range.zip(out.chunks_exact_mut(width)) {
@@ -625,17 +602,7 @@ impl LadEngine {
         cache: &mut MuCache,
         out: &mut [f64],
     ) {
-        let width = self.scorers.len();
-        assert_eq!(
-            batch.group_count(),
-            self.knowledge.group_count(),
-            "batch/deployment group-count mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            batch.len() * width,
-            "output buffer must hold {width} scores per row"
-        );
+        let width = self.check_scoring(batch, batch.len(), None, out.len());
         self.knowledge
             .for_each_mu_cached(batch.as_csr().estimates, cache, |r, mu| {
                 self.score_row_into(batch.row(r), mu, &mut out[r * width..(r + 1) * width]);
@@ -650,10 +617,43 @@ impl LadEngine {
         if self.fused {
             out.copy_from_slice(&crate::metrics::score_all_fused_sparse(row, mu));
         } else {
-            for (slot, scorer) in out.iter_mut().zip(&self.scorers) {
-                *slot = scorer.score_sparse(row, mu);
+            for (slot, &metric) in out.iter_mut().zip(&self.artifact.metrics) {
+                *slot = metric.score_sparse(row, mu);
             }
         }
+    }
+
+    /// The preconditions every `score_rows_*` entry point checks once per
+    /// batch, returning the scores written per row: the batch spans the
+    /// deployment's groups; `metric`, when given, is configured on this
+    /// engine (one score per row), otherwise every configured metric
+    /// scores; and the output holds exactly `rows` rows of scores.
+    fn check_scoring(
+        &self,
+        batch: &ObservationBatch,
+        rows: usize,
+        metric: Option<MetricKind>,
+        out_len: usize,
+    ) -> usize {
+        if let Some(metric) = metric {
+            assert!(
+                self.artifact.metrics.contains(&metric),
+                "metric {} not configured on this engine",
+                metric.name()
+            );
+        }
+        assert_eq!(
+            batch.group_count(),
+            self.knowledge.group_count(),
+            "batch/deployment group-count mismatch"
+        );
+        let width = metric.map_or(self.artifact.metrics.len(), |_| 1);
+        assert_eq!(
+            out_len,
+            rows * width,
+            "output buffer must hold {width} score(s) per row"
+        );
+        width
     }
 
     /// Scores a CSR batch sequentially with **one** configured metric — one
@@ -678,25 +678,12 @@ impl LadEngine {
         metric: MetricKind,
         out: &mut [f64],
     ) {
-        let idx = self
-            .metric_index(metric)
-            .unwrap_or_else(|| panic!("metric {} not configured on this engine", metric.name()));
-        assert_eq!(
-            batch.group_count(),
-            self.knowledge.group_count(),
-            "batch/deployment group-count mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            batch.len(),
-            "output buffer must hold one score per row"
-        );
-        let scorer = &self.scorers[idx];
+        self.check_scoring(batch, batch.len(), Some(metric), out.len());
         MU_SCRATCH.with(|cell| {
             let smu = &mut *cell.borrow_mut();
             for (r, slot) in out.iter_mut().enumerate() {
                 self.knowledge.expected_sparse_into(batch.estimate(r), smu);
-                *slot = scorer.score_sparse(batch.row(r), smu.view());
+                *slot = metric.score_sparse(batch.row(r), smu.view());
             }
         });
     }
@@ -717,23 +704,10 @@ impl LadEngine {
         cache: &mut MuCache,
         out: &mut [f64],
     ) {
-        let idx = self
-            .metric_index(metric)
-            .unwrap_or_else(|| panic!("metric {} not configured on this engine", metric.name()));
-        assert_eq!(
-            batch.group_count(),
-            self.knowledge.group_count(),
-            "batch/deployment group-count mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            batch.len(),
-            "output buffer must hold one score per row"
-        );
-        let scorer = &self.scorers[idx];
+        self.check_scoring(batch, batch.len(), Some(metric), out.len());
         self.knowledge
             .for_each_mu_cached(batch.as_csr().estimates, cache, |r, mu| {
-                out[r] = scorer.score_sparse(batch.row(r), mu);
+                out[r] = metric.score_sparse(batch.row(r), mu);
             });
     }
 
@@ -959,7 +933,7 @@ mod tests {
         engine.score_rows_into(&rows, &mut scores);
         assert_eq!(scores.len(), 3);
         for (i, kind) in MetricKind::ALL.into_iter().enumerate() {
-            let single = kind.metric().score(&obs, &mu, knowledge.group_size());
+            let single = kind.score(&obs, &mu, knowledge.group_size());
             assert_eq!(scores[i], single, "{}: batched vs dense", kind.name());
         }
     }

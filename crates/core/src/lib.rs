@@ -6,9 +6,9 @@
 //! the expected observation `µ(L_e)` and measures the inconsistency between
 //! `o` and `µ` with one of three metrics (§5):
 //!
-//! * [`metrics::DiffMetric`] — `DM = Σ |o_i − µ_i|`,
-//! * [`metrics::AddAllMetric`] — `AM = Σ max(o_i, µ_i)`,
-//! * [`metrics::ProbabilityMetric`] — alarm when any
+//! * [`MetricKind::Diff`] — `DM = Σ |o_i − µ_i|`,
+//! * [`MetricKind::AddAll`] — `AM = Σ max(o_i, µ_i)`,
+//! * [`MetricKind::Probability`] — alarm when any
 //!   `Pr(X_i = o_i | L_e)` is too small.
 //!
 //! Thresholds are obtained by τ-percentile training on clean simulated
@@ -19,8 +19,9 @@
 //! accepts any localization scheme as a trait object, and serialises to
 //! versioned artifacts. It is the only detector: [`LadEngine::verify`] and
 //! [`LadEngine::verify_rows`] return one [`Verdict`] per metric. The dense
-//! [`DetectionMetric::score`] and [`metrics::score_all_fused`] kernels stay
-//! as the reference the sparse kernels are tested against.
+//! [`MetricKind::score`] is the reference the sparse kernels
+//! ([`MetricKind::score_sparse`], [`metrics::score_all_fused_sparse`]) are
+//! tested against bit for bit.
 //!
 //! # Quick example
 //!
@@ -74,7 +75,7 @@ pub use engine::{
     EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme, MultiVerdict,
     Verdict,
 };
-pub use metrics::{AddAllMetric, DetectionMetric, DiffMetric, MetricKind, ProbabilityMetric};
+pub use metrics::MetricKind;
 pub use threshold::TrainedThresholds;
 pub use training::{Trainer, TrainingConfig};
 
@@ -84,9 +85,7 @@ pub mod prelude {
         EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme, MultiVerdict,
         Verdict,
     };
-    pub use crate::metrics::{
-        AddAllMetric, DetectionMetric, DiffMetric, MetricKind, ProbabilityMetric,
-    };
+    pub use crate::metrics::MetricKind;
     pub use crate::threshold::TrainedThresholds;
     pub use crate::training::{Trainer, TrainingConfig};
 }

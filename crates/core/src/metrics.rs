@@ -1,13 +1,15 @@
 //! The three LAD detection metrics (§5.2–5.4 of the paper).
 //!
-//! All metrics are exposed through [`DetectionMetric`] under a single
-//! convention: **larger scores are more anomalous**, and a detector raises an
-//! alarm when `score > threshold`. The Diff and Add-all metrics already have
-//! that orientation; the probability metric (where *small* likelihood means
-//! anomaly) is mapped to a score by negating the log of the smallest
-//! per-group likelihood.
+//! The metric set is closed: [`MetricKind`] names the paper's three metrics
+//! and scores them directly — [`MetricKind::score`] is the dense reference,
+//! [`MetricKind::score_sparse`] its O(k + nnz) sibling, and
+//! [`score_all_fused_sparse`] all three in one pass (the serving hot path).
+//! All share a single convention: **larger scores are more anomalous**, and
+//! a detector raises an alarm when `score > threshold`. The Diff and Add-all
+//! metrics already have that orientation; the probability metric (where
+//! *small* likelihood means anomaly) is mapped to a score by negating the
+//! log of the smallest per-group likelihood.
 
-use crate::expected::l1_deviation;
 use lad_deployment::MuView;
 use lad_net::{ObsRow, Observation};
 use lad_stats::Binomial;
@@ -18,9 +20,14 @@ use serde::{Deserialize, Serialize};
 pub enum MetricKind {
     /// The Difference metric `DM = Σ |o_i − µ_i|` (§5.2).
     Diff,
-    /// The Add-all metric `AM = Σ max(o_i, µ_i)` (§5.3).
+    /// The Add-all metric `AM = Σ max(o_i, µ_i)` (§5.3). The union
+    /// observation `t_i = max(o_i, µ_i)` grows when the actual and the
+    /// expected observations disagree about *which* groups should be
+    /// visible, so its total is an anomaly indicator.
     AddAll,
-    /// The Probability metric `min_i Pr(X_i = o_i | L_e)` (§5.4).
+    /// The Probability metric `min_i Pr(X_i = o_i | L_e)` with
+    /// `X_i ~ Binomial(m, g_i(L_e))` (§5.4), scored as `−ln(min_i Pr)` so
+    /// that "larger is more anomalous" holds like the other metrics.
     Probability,
 }
 
@@ -41,44 +48,113 @@ impl MetricKind {
         }
     }
 
-    /// Instantiates the metric.
-    pub fn metric(self) -> Box<dyn DetectionMetric> {
+    /// Anomaly score for observation `obs` against the dense expected
+    /// observation `mu`, where `group_size` is the per-group node count `m`
+    /// — the O(n) reference every sparse kernel is proven against
+    /// (`tests/sparse_exactness.rs`).
+    pub fn score(self, obs: &Observation, mu: &[f64], group_size: usize) -> f64 {
+        // Lengths are validated once per batch at the engine boundary (and
+        // by `ObservationBatch::push`), not per score.
+        debug_assert_eq!(
+            obs.group_count(),
+            mu.len(),
+            "observation/expectation length mismatch"
+        );
+        let pairs = obs.counts().iter().zip(mu);
         match self {
-            MetricKind::Diff => Box::new(DiffMetric),
-            MetricKind::AddAll => Box::new(AddAllMetric),
-            MetricKind::Probability => Box::new(ProbabilityMetric),
+            MetricKind::Diff => pairs.map(|(&o, &m)| (o as f64 - m).abs()).sum(),
+            MetricKind::AddAll => pairs.map(|(&o, &m)| (o as f64).max(m)).sum(),
+            MetricKind::Probability => (-min_ln_probability(obs, mu, group_size)).min(NEG_LN_FLOOR),
         }
     }
-}
-
-/// A detection metric: maps (observation, expected observation) to an anomaly
-/// score where larger values are more anomalous.
-pub trait DetectionMetric: Send + Sync {
-    /// Which metric this is.
-    fn kind(&self) -> MetricKind;
-
-    /// Anomaly score for observation `obs` against the expected observation
-    /// `mu`, where `group_size` is the per-group node count `m`.
-    fn score(&self, obs: &Observation, mu: &[f64], group_size: usize) -> f64;
 
     /// Scores a sparse batch row against a sparse expected observation in
     /// O(k + nnz) — k support groups plus the observation's nonzeros —
     /// instead of O(n).
     ///
-    /// Must be bit-identical to densifying both sides and calling
-    /// [`Self::score`] (see the [sparse-kernel notes](score_all_fused_sparse));
-    /// `tests/sparse_exactness.rs` asserts it for every [`MetricKind`].
-    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64;
+    /// Bit-identical to densifying both sides and calling [`Self::score`]:
+    /// groups outside `support ∪ nonzero(o)` contribute exactly
+    /// `|0 − 0.0| = max(0, 0.0) = 0.0` to Diff/Add-all and are skipped by
+    /// the probability min (see [`score_all_fused_sparse`]).
+    pub fn score_sparse(self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
+        match self {
+            MetricKind::Diff => {
+                let mut dm = 0.0f64;
+                for_each_scored_group(row, mu, |o, mui| dm += (o as f64 - mui).abs());
+                dm
+            }
+            MetricKind::AddAll => {
+                let mut am = 0.0f64;
+                for_each_scored_group(row, mu, |o, mui| am += (o as f64).max(mui));
+                am
+            }
+            MetricKind::Probability => (-min_ln_probability_sparse(row, mu)).min(NEG_LN_FLOOR),
+        }
+    }
+}
+
+/// The smallest per-group `ln Pr(X_i = o_i | L_e)` — the probability
+/// metric's hot-path quantity. Working in log space keeps the whole scan to
+/// one `exp`-free pass (minimising `ln Pr` and minimising `Pr` pick the
+/// same group).
+///
+/// Groups with `o_i = 0` are reduced to a **single** pmf evaluation:
+/// `ln Pr(X = 0 | µ) = m·ln(1 − µ/m)` is monotonically decreasing in `µ`,
+/// so among zero-observation groups only the largest `µ` can attain the min
+/// (see `ZeroObsMin`). That turns a one-`ln`-per-visible-group scan into
+/// `nnz(o)` full evaluations plus one, and every kernel — this one, the
+/// sparse one and the fused pass — applies the identical reduction, so
+/// their scores agree bit for bit by construction.
+fn min_ln_probability(obs: &Observation, mu: &[f64], group_size: usize) -> f64 {
+    let pmf = TabledLnPmf::new(group_size);
+    let mut min_ln_p = 0.0f64;
+    let mut zero_obs = ZeroObsMin::new();
+    for (&o, &mui) in obs.counts().iter().zip(mu) {
+        if o == 0 {
+            // Pr(X = 0) = 1 for µ = 0 can never be the minimum; for µ > 0
+            // only the largest µ can (monotonicity) — defer it.
+            zero_obs.see(mui);
+            continue;
+        }
+        let ln_p = pmf.eval(o, mui);
+        if ln_p < min_ln_p {
+            min_ln_p = ln_p;
+        }
+    }
+    zero_obs.fold_into(&pmf, min_ln_p)
+}
+
+/// O(k + nnz) sparse sibling of `min_ln_probability`.
+///
+/// Groups outside `support ∪ nonzero(o)` have `o = 0` and `µ = 0.0`, which
+/// the dense kernel's zero-p guard skips anyway (`Pr = 1` can never be the
+/// minimum), so the min ranges over the identical set of evaluations and
+/// the result is bit-identical.
+fn min_ln_probability_sparse(row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
+    let pmf = TabledLnPmf::new(mu.group_size());
+    let mut min_ln_p = 0.0f64;
+    let mut zero_obs = ZeroObsMin::new();
+    for_each_scored_group(row, mu, |o, mui| {
+        if o == 0 {
+            zero_obs.see(mui);
+            return;
+        }
+        let ln_p = pmf.eval(o, mui);
+        if ln_p < min_ln_p {
+            min_ln_p = ln_p;
+        }
+    });
+    zero_obs.fold_into(&pmf, min_ln_p)
 }
 
 /// Visits `(o_i, µ_i)` for every group in `support(µ) ∪ nonzero(o)`, in
 /// ascending group order, given a **sparse** observation row.
 ///
-/// This is the iteration pattern all sparse kernels share. Every group it
-/// skips has `o_i = 0` and `µ_i = 0.0` exactly, so a sum of non-negative
-/// per-group terms that are zero at `(0, 0.0)` — the Diff and Add-all
-/// metrics — accumulates the *same bits* as the dense pass over all `n`
-/// groups (adding `+0.0` to a non-negative IEEE accumulator is the
+/// This is the iteration pattern the per-metric sparse kernels share. Every
+/// group it skips has `o_i = 0` and `µ_i = 0.0` exactly, so a sum of
+/// non-negative per-group terms that are zero at `(0, 0.0)` — the Diff and
+/// Add-all metrics — accumulates the *same bits* as the dense pass over all
+/// `n` groups (adding `+0.0` to a non-negative IEEE accumulator is the
 /// identity), and a min over per-group likelihoods skips exactly the groups
 /// the dense kernel's `(o, µ) = (0, 0)` guard skips.
 #[inline]
@@ -104,157 +180,6 @@ fn for_each_scored_group<F: FnMut(u32, f64)>(row: ObsRow<'_>, mu: MuView<'_>, mu
     while oi < row.groups.len() {
         f(row.counts[oi], 0.0);
         oi += 1;
-    }
-}
-
-/// The Difference metric `DM = Σ_i |o_i − µ_i|`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiffMetric;
-
-impl DetectionMetric for DiffMetric {
-    fn kind(&self) -> MetricKind {
-        MetricKind::Diff
-    }
-
-    fn score(&self, obs: &Observation, mu: &[f64], _group_size: usize) -> f64 {
-        l1_deviation(obs, mu)
-    }
-
-    /// O(k + nnz) sparse kernel: groups outside `support ∪ nonzero(o)`
-    /// contribute exactly `|0 − 0.0| = 0.0` and are skipped.
-    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
-        let mut dm = 0.0f64;
-        for_each_scored_group(row, mu, |o, mui| dm += (o as f64 - mui).abs());
-        dm
-    }
-}
-
-/// The Add-all metric `AM = Σ_i max(o_i, µ_i)`.
-///
-/// The union observation `t_i = max(o_i, µ_i)` grows when the actual and the
-/// expected observations disagree about *which* groups should be visible, so
-/// its total is an anomaly indicator (§5.3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AddAllMetric;
-
-impl DetectionMetric for AddAllMetric {
-    fn kind(&self) -> MetricKind {
-        MetricKind::AddAll
-    }
-
-    fn score(&self, obs: &Observation, mu: &[f64], _group_size: usize) -> f64 {
-        // Hot loop: lengths are validated once per batch at the engine
-        // boundary (and by `ObservationBatch::push`), not per score.
-        debug_assert_eq!(
-            obs.group_count(),
-            mu.len(),
-            "observation/expectation length mismatch"
-        );
-        obs.counts()
-            .iter()
-            .zip(mu)
-            .map(|(&o, &m)| (o as f64).max(m))
-            .sum()
-    }
-
-    /// O(k + nnz) sparse kernel: groups outside `support ∪ nonzero(o)`
-    /// contribute exactly `max(0, 0.0) = 0.0` and are skipped.
-    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
-        let mut am = 0.0f64;
-        for_each_scored_group(row, mu, |o, mui| am += (o as f64).max(mui));
-        am
-    }
-}
-
-/// The Probability metric: the smallest per-group likelihood
-/// `min_i Pr(X_i = o_i | L_e)` with `X_i ~ Binomial(m, g_i(L_e))`.
-///
-/// Exposed as a score via `−ln(min_i Pr)` so that "larger is more anomalous"
-/// holds like the other metrics; [`ProbabilityMetric::min_probability`]
-/// returns the raw likelihood for callers that want the paper's orientation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProbabilityMetric;
-
-impl ProbabilityMetric {
-    /// The smallest per-group `ln Pr(X_i = o_i | L_e)` — the hot-path
-    /// quantity. Working in log space keeps the whole scan to one `exp`-free
-    /// pass (minimising `ln Pr` and minimising `Pr` pick the same group).
-    ///
-    /// Groups with `o_i = 0` are reduced to a **single** pmf evaluation:
-    /// `ln Pr(X = 0 | µ) = m·ln(1 − µ/m)` is monotonically decreasing in
-    /// `µ`, so among zero-observation groups only the largest `µ` can
-    /// attain the min (see the `ZeroObsMin` helper). That turns the former
-    /// one-`ln`-per-visible-group scan into `nnz(o)` full evaluations plus
-    /// one, and every kernel — this one, the fused pass, and the sparse
-    /// variants — applies the identical reduction, so their scores agree
-    /// bit for bit by construction.
-    pub fn min_ln_probability(obs: &Observation, mu: &[f64], group_size: usize) -> f64 {
-        // Hot loop: lengths are validated once per batch at the engine
-        // boundary (and by `ObservationBatch::push`), not per score.
-        debug_assert_eq!(
-            obs.group_count(),
-            mu.len(),
-            "observation/expectation length mismatch"
-        );
-        let pmf = TabledLnPmf::new(group_size);
-        let mut min_ln_p = 0.0f64;
-        let mut zero_obs = ZeroObsMin::new();
-        for (&o, &mui) in obs.counts().iter().zip(mu) {
-            if o == 0 {
-                // Pr(X = 0) = 1 for µ = 0 can never be the minimum; for
-                // µ > 0 only the largest µ can (monotonicity) — defer it.
-                zero_obs.see(mui);
-                continue;
-            }
-            let ln_p = pmf.eval(o, mui);
-            if ln_p < min_ln_p {
-                min_ln_p = ln_p;
-            }
-        }
-        zero_obs.fold_into(&pmf, min_ln_p)
-    }
-
-    /// The raw metric of §5.4: the smallest `Pr(X_i = o_i | L_e)` over groups.
-    pub fn min_probability(obs: &Observation, mu: &[f64], group_size: usize) -> f64 {
-        Self::min_ln_probability(obs, mu, group_size).exp()
-    }
-
-    /// O(k + nnz) sparse sibling of [`Self::min_ln_probability`].
-    ///
-    /// Groups outside `support ∪ nonzero(o)` have `o = 0` and `µ = 0.0`,
-    /// which the dense kernel's zero-p guard skips anyway (`Pr = 1` can
-    /// never be the minimum), so the min ranges over the identical set of
-    /// evaluations and the result is bit-identical.
-    pub fn min_ln_probability_sparse(row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
-        let pmf = TabledLnPmf::new(mu.group_size());
-        let mut min_ln_p = 0.0f64;
-        let mut zero_obs = ZeroObsMin::new();
-        for_each_scored_group(row, mu, |o, mui| {
-            if o == 0 {
-                zero_obs.see(mui);
-                return;
-            }
-            let ln_p = pmf.eval(o, mui);
-            if ln_p < min_ln_p {
-                min_ln_p = ln_p;
-            }
-        });
-        zero_obs.fold_into(&pmf, min_ln_p)
-    }
-}
-
-impl DetectionMetric for ProbabilityMetric {
-    fn kind(&self) -> MetricKind {
-        MetricKind::Probability
-    }
-
-    fn score(&self, obs: &Observation, mu: &[f64], group_size: usize) -> f64 {
-        (-Self::min_ln_probability(obs, mu, group_size)).min(NEG_LN_FLOOR)
-    }
-
-    /// O(k + nnz) sparse kernel; see [`ProbabilityMetric::min_ln_probability_sparse`].
-    fn score_sparse(&self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
-        (-Self::min_ln_probability_sparse(row, mu)).min(NEG_LN_FLOOR)
     }
 }
 
@@ -308,7 +233,7 @@ impl ZeroObsMin {
 }
 
 /// The binomial `ln Pr(X = o)` evaluator shared by the per-metric and fused
-/// hot loops — one definition, so the two paths are the same float program.
+/// kernels — one definition, so every path is the same float program.
 ///
 /// Hoists the ln-factorial table and the `m`/`n` conversions out of the
 /// per-group loop; falls back to [`Binomial::ln_pmf`] for group sizes beyond
@@ -359,29 +284,6 @@ impl TabledLnPmf {
     }
 }
 
-/// All three paper metrics in one pass over `(o, µ)`.
-///
-/// Returns `[DM, AM, −ln min Pr]` in [`MetricKind::ALL`] order,
-/// **bit-identical** to running [`DiffMetric`], [`AddAllMetric`] and
-/// [`ProbabilityMetric`] separately (same accumulation order per metric).
-/// This dense O(n) pass is the reference the sparse
-/// [`score_all_fused_sparse`] is proven against; every production path
-/// scores through the sparse kernel.
-pub fn score_all_fused(obs: &Observation, mu: &[f64], group_size: usize) -> [f64; 3] {
-    // Hot loop: lengths are validated once per batch at the engine boundary
-    // (and by `ObservationBatch::push`), not per score.
-    debug_assert_eq!(
-        obs.group_count(),
-        mu.len(),
-        "observation/expectation length mismatch"
-    );
-    let mut acc = FusedAccumulator::new(group_size);
-    for (&o, &mui) in obs.counts().iter().zip(mu) {
-        acc.push(o, mui);
-    }
-    acc.finish()
-}
-
 /// The support's parallel id/value slices, the value slice cut to the id
 /// slice's length so the merge walks index both without a second bounds
 /// check.
@@ -393,15 +295,17 @@ fn support(mu: MuView<'_>) -> (&[u32], &[f64]) {
 
 /// All three paper metrics in one **O(k + nnz)** pass over a sparse batch
 /// row and a sparse expected observation — the serving hot path's kernel.
+/// Returns `[DM, AM, −ln min Pr]` in [`MetricKind::ALL`] order.
 ///
 /// Only the µ support (`k` groups within the g(z) tail `z_max` of the
 /// estimate) and the observation's nonzeros are visited; every skipped
 /// group contributes exactly `(o, µ) = (0, 0.0)`, which adds `+0.0` to the
 /// Diff/Add-all accumulators (the IEEE identity) and is excluded from the
 /// probability min by the dense kernel's own zero-p guard. The result is
-/// therefore **bit-identical** to [`score_all_fused`] over the densified
-/// inputs — asserted by proptest in `tests/sparse_exactness.rs` — while the
-/// work no longer scales with the group count `n`.
+/// therefore **bit-identical** to each metric's dense [`MetricKind::score`]
+/// over the densified inputs (same accumulation order per metric) —
+/// asserted by proptest in `tests/sparse_exactness.rs` — while the work no
+/// longer scales with the group count `n`.
 pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: MuView<'_>) -> [f64; 3] {
     // Two specialised passes instead of one merged accumulator: the first
     // carries only cheap float ops (predictable, small loop body), the
@@ -471,51 +375,6 @@ pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: MuView<'_>) -> [f64; 3] {
     [dm, am, (-min_ln_p).min(NEG_LN_FLOOR)]
 }
 
-/// The per-group accumulation of the fused scoring kernel; the binomial part
-/// goes through the same [`TabledLnPmf`] as the stand-alone probability
-/// metric, so fused and per-metric scores are the same float program.
-struct FusedAccumulator {
-    pmf: TabledLnPmf,
-    dm: f64,
-    am: f64,
-    min_ln_p: f64,
-    zero_obs: ZeroObsMin,
-}
-
-impl FusedAccumulator {
-    fn new(group_size: usize) -> Self {
-        Self {
-            pmf: TabledLnPmf::new(group_size),
-            dm: 0.0,
-            am: 0.0,
-            min_ln_p: 0.0,
-            zero_obs: ZeroObsMin::new(),
-        }
-    }
-
-    #[inline(always)]
-    fn push(&mut self, o: u32, mui: f64) {
-        let of = o as f64;
-        self.dm += (of - mui).abs();
-        self.am += of.max(mui);
-        if o == 0 {
-            // Deferred: only the largest zero-observation µ can attain the
-            // probability min (see `ZeroObsMin`).
-            self.zero_obs.see(mui);
-            return;
-        }
-        let ln_p = self.pmf.eval(o, mui);
-        if ln_p < self.min_ln_p {
-            self.min_ln_p = ln_p;
-        }
-    }
-
-    fn finish(self) -> [f64; 3] {
-        let min_ln_p = self.zero_obs.fold_into(&self.pmf, self.min_ln_p);
-        [self.dm, self.am, (-min_ln_p).min(NEG_LN_FLOOR)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,20 +391,20 @@ mod tests {
     #[test]
     fn diff_metric_matches_hand_computation() {
         let (mu, obs) = mu_and_matching_obs();
-        let dm = DiffMetric.score(&obs, &mu, 300);
+        let dm = MetricKind::Diff.score(&obs, &mu, 300);
         assert!((dm - 0.5).abs() < 1e-12);
         let shifted = Observation::from_counts(vec![3, 2, 5, 10, 1]);
-        assert!((DiffMetric.score(&shifted, &mu, 300) - 3.5).abs() < 1e-12);
+        assert!((MetricKind::Diff.score(&shifted, &mu, 300) - 3.5).abs() < 1e-12);
     }
 
     #[test]
     fn addall_metric_matches_hand_computation() {
         let (mu, obs) = mu_and_matching_obs();
         // max per group: 0, 2, 5, 10, 1 -> 18
-        assert!((AddAllMetric.score(&obs, &mu, 300) - 18.0).abs() < 1e-12);
+        assert!((MetricKind::AddAll.score(&obs, &mu, 300) - 18.0).abs() < 1e-12);
         // Moving observations to the "wrong" groups inflates the union.
         let wrong = Observation::from_counts(vec![10, 0, 0, 0, 8]);
-        assert!(AddAllMetric.score(&wrong, &mu, 300) > 25.0);
+        assert!(MetricKind::AddAll.score(&wrong, &mu, 300) > 25.0);
     }
 
     #[test]
@@ -554,51 +413,26 @@ mod tests {
         let mu = vec![15.0, 3.0, 0.1];
         let likely = Observation::from_counts(vec![15, 3, 0]);
         let unlikely = Observation::from_counts(vec![40, 3, 0]);
-        let p_likely = ProbabilityMetric::min_probability(&likely, &mu, m);
-        let p_unlikely = ProbabilityMetric::min_probability(&unlikely, &mu, m);
-        assert!(p_likely > p_unlikely);
+        let ln_p_likely = min_ln_probability(&likely, &mu, m);
+        let ln_p_unlikely = min_ln_probability(&unlikely, &mu, m);
+        assert!(ln_p_likely > ln_p_unlikely);
         // Score orientation: unlikely observation scores higher.
-        assert!(
-            ProbabilityMetric.score(&unlikely, &mu, m) > ProbabilityMetric.score(&likely, &mu, m)
-        );
+        let p = MetricKind::Probability;
+        assert!(p.score(&unlikely, &mu, m) > p.score(&likely, &mu, m));
     }
 
     #[test]
-    fn fused_scores_are_bit_identical_to_separate_metrics() {
-        let k = DeploymentKnowledge::from_config(&DeploymentConfig::small_test());
-        let m = k.group_size();
-        for (obs_seed, at) in [
-            (1u64, Point2::new(120.0, 80.0)),
-            (2, Point2::new(333.0, 390.0)),
-            (3, Point2::new(10.0, 10.0)),
-        ] {
-            let mu = k.expected_observation(at);
-            // A mildly perturbed integer observation around a different point.
-            let other = k.expected_observation(Point2::new(200.0, 200.0));
-            let obs = Observation::from_counts(
-                other
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v.round() as u32) + ((obs_seed as usize + i) % 3) as u32)
-                    .collect(),
-            );
-            let fused = score_all_fused(&obs, &mu, m);
-            let separate = [
-                DiffMetric.score(&obs, &mu, m),
-                AddAllMetric.score(&obs, &mu, m),
-                ProbabilityMetric.score(&obs, &mu, m),
-            ];
-            assert_eq!(
-                fused, separate,
-                "fused scores must match the per-metric path exactly"
-            );
-        }
+    #[should_panic]
+    #[cfg(debug_assertions)] // length checks are debug-only in the hot loop
+    fn mismatched_lengths_panic() {
+        let _ = MetricKind::Diff.score(&Observation::zeros(2), &[1.0, 2.0, 3.0], 300);
     }
 
     #[test]
     fn metric_kind_round_trips() {
         for kind in MetricKind::ALL {
-            assert_eq!(kind.metric().kind(), kind);
+            let json = serde_json::to_string(&kind).unwrap();
+            assert_eq!(serde_json::from_str::<MetricKind>(&json).unwrap(), kind);
             assert!(!kind.name().is_empty());
         }
     }
@@ -610,10 +444,11 @@ mod tests {
         let mu = k.expected_observation(p);
         let obs = crate::expected::rounded_expected(&mu);
         let m = k.group_size();
+        let diff = MetricKind::Diff;
         // An observation that matches the expectation at P scores low at P …
-        let at_p = DiffMetric.score(&obs, &mu, m);
+        let at_p = diff.score(&obs, &mu, m);
         // … and much higher at a distant point Q.
-        let at_q = DiffMetric.score(&obs, &k.expected_observation(Point2::new(350.0, 50.0)), m);
+        let at_q = diff.score(&obs, &k.expected_observation(Point2::new(350.0, 50.0)), m);
         assert!(
             at_p < at_q,
             "diff at P {at_p} should be below diff at Q {at_q}"
@@ -632,9 +467,8 @@ mod tests {
         let mu_near = k.expected_observation(Point2::new(210.0, 205.0));
         let mu_far = k.expected_observation(Point2::new(360.0, 40.0));
         for kind in MetricKind::ALL {
-            let metric = kind.metric();
-            let near = metric.score(&obs, &mu_near, m);
-            let far = metric.score(&obs, &mu_far, m);
+            let near = kind.score(&obs, &mu_near, m);
+            let far = kind.score(&obs, &mu_far, m);
             assert!(
                 far > near,
                 "{}: far score {far} should exceed near score {near}",
@@ -643,12 +477,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sparse_min_ln_probability_matches_dense_beyond_the_score_floor() {
+        // The scores clamp at `NEG_LN_FLOOR`, so score equality alone would
+        // hide a sparse/dense disagreement below ln(1e-300): compare the
+        // unclamped minimum, on saturated observations that cross it.
+        let k = DeploymentKnowledge::from_config(&DeploymentConfig::small_test());
+        let (n, m) = (k.group_count(), k.group_size());
+        let mut smu = lad_deployment::SparseMu::new();
+        for obs in [
+            Observation::zeros(n),
+            Observation::from_counts(vec![m as u32; n]),
+            Observation::from_counts((0..n as u32).map(|g| g * 7 % 40).collect()),
+        ] {
+            for at in [Point2::new(120.0, 80.0), Point2::new(10.0, 390.0)] {
+                let mut batch = lad_net::ObservationBatch::new(n);
+                batch.push(&obs, at);
+                k.expected_sparse_into(at, &mut smu);
+                let dense = min_ln_probability(&obs, &k.expected_observation(at), m);
+                let sparse = min_ln_probability_sparse(batch.row(0), smu.view());
+                assert_eq!(dense.to_bits(), sparse.to_bits(), "{dense} vs {sparse}");
+            }
+        }
+        let saturated = Observation::from_counts(vec![m as u32; n]);
+        let at = Point2::new(120.0, 80.0);
+        assert!(min_ln_probability(&saturated, &k.expected_observation(at), m) < -NEG_LN_FLOOR);
+    }
+
     proptest! {
         #[test]
         fn prop_diff_zero_only_on_exact_match(counts in proptest::collection::vec(0u32..30, 6)) {
             let mu: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
             let obs = Observation::from_counts(counts.clone());
-            prop_assert_eq!(DiffMetric.score(&obs, &mu, 100), 0.0);
+            prop_assert_eq!(MetricKind::Diff.score(&obs, &mu, 100), 0.0);
         }
 
         #[test]
@@ -657,7 +518,7 @@ mod tests {
             mu in proptest::collection::vec(0.0f64..30.0, 6),
         ) {
             let obs = Observation::from_counts(counts);
-            let am = AddAllMetric.score(&obs, &mu, 100);
+            let am = MetricKind::AddAll.score(&obs, &mu, 100);
             let total_o = obs.total() as f64;
             let total_mu: f64 = mu.iter().sum();
             prop_assert!(am + 1e-9 >= total_o.max(total_mu));
@@ -670,7 +531,7 @@ mod tests {
             mu in proptest::collection::vec(0.0f64..60.0, 4),
         ) {
             let obs = Observation::from_counts(counts);
-            let p = ProbabilityMetric::min_probability(&obs, &mu, 60);
+            let p = min_ln_probability(&obs, &mu, 60).exp();
             prop_assert!((0.0..=1.0).contains(&p));
         }
     }

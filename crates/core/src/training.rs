@@ -139,7 +139,7 @@ fn sample_node(
     let estimate = localizer.estimate(knowledge, &obs)?;
     // The engine's scoring surface: the observation as a CSR row, µ(L_e)
     // over its sparse support, all three metrics in one fused pass —
-    // bit-identical to the dense per-metric kernels.
+    // bit-identical to the dense per-metric reference.
     scratch.row.reset(knowledge.group_count());
     scratch.row.push(&obs, estimate);
     knowledge.expected_sparse_into(estimate, &mut scratch.mu);
@@ -153,7 +153,6 @@ fn sample_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::score_all_fused;
     use lad_deployment::DeploymentConfig;
 
     fn quick_trainer(seed: u64) -> Trainer {
@@ -196,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_scores_are_bit_identical_to_the_dense_fused_oracle() {
+    fn sample_scores_are_bit_identical_to_the_dense_reference() {
         let knowledge = DeploymentKnowledge::shared(&DeploymentConfig::small_test());
         let localizer = BeaconlessMle::new();
         let mut scratch = SampleScratch::default();
@@ -210,7 +209,8 @@ mod tests {
                 let obs = network.true_observation(id);
                 let estimate = localizer.estimate(&knowledge, &obs).unwrap();
                 let mu = knowledge.expected_observation(estimate);
-                let dense = score_all_fused(&obs, &mu, knowledge.group_size());
+                let dense =
+                    MetricKind::ALL.map(|kind| kind.score(&obs, &mu, knowledge.group_size()));
                 assert_eq!(
                     sample.scores.map(f64::to_bits),
                     dense.map(f64::to_bits),

@@ -61,12 +61,6 @@ impl EvalConfig {
         }
     }
 
-    /// Returns a copy with a different group size `m` (Figure 9 sweeps this).
-    pub fn with_group_size(mut self, m: usize) -> Self {
-        self.deployment = self.deployment.with_group_size(m);
-        self
-    }
-
     /// Total number of attacked victims across all networks.
     pub fn total_victims(&self) -> usize {
         self.networks * self.victims_per_network
@@ -104,11 +98,5 @@ mod tests {
         assert!(clean(&quick) > clean(&bench));
         assert_eq!(paper.deployment.group_size, 300);
         assert!(bench.deployment.total_nodes() < quick.deployment.total_nodes());
-    }
-
-    #[test]
-    fn builders_adjust_fields() {
-        let cfg = EvalConfig::quick().with_group_size(500);
-        assert_eq!(cfg.deployment.group_size, 500);
     }
 }

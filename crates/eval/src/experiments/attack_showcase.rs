@@ -12,7 +12,7 @@ use crate::scenario::Substrate;
 use lad_attack::dos::dos_taint;
 use lad_attack::primitives::{apply_all, AttackPrimitive};
 use lad_attack::AttackClass;
-use lad_core::{DetectionMetric, DiffMetric, MetricKind};
+use lad_core::MetricKind;
 use lad_net::NodeId;
 
 /// Reproduces the Figure 3 showcase on a scenario substrate's first
@@ -79,7 +79,7 @@ pub fn attack_showcase(ctx: &Substrate) -> FigureReport {
 
     // A combined DoS attack for scale: how far can 10% silenced neighbours
     // plus 20 forged messages push an honest node's Diff score?
-    let baseline = DiffMetric.score(&clean, &mu, m);
+    let baseline = MetricKind::Diff.score(&clean, &mu, m);
     let budget = (clean.total() as f64 * 0.1).round() as usize;
     let dos = dos_taint(
         AttackClass::DecBounded,
@@ -92,7 +92,7 @@ pub fn attack_showcase(ctx: &Substrate) -> FigureReport {
     );
     report.push_note(format!(
         "DoS (x = 10% silenced + 20 forged messages): Diff metric moves from {baseline:.2} to {:.2}",
-        DiffMetric.score(&dos, &mu, m)
+        MetricKind::Diff.score(&dos, &mu, m)
     ));
     report
 }

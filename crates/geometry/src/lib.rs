@@ -3,7 +3,7 @@
 //! This crate provides the small geometric vocabulary used throughout the
 //! workspace:
 //!
-//! * [`Point2`] / [`Vec2`] — plain `f64` points and displacement vectors,
+//! * [`Point2`] — plain `f64` points in the deployment plane,
 //! * [`Circle`] and [`Rect`] — the two primitive regions used by the
 //!   deployment model (transmission disks and the deployment area),
 //! * [`GridIndex`] — a uniform-grid spatial index that answers
@@ -24,10 +24,8 @@ pub mod grid_index;
 pub mod point;
 pub mod rect;
 pub mod sampling;
-pub mod vec2;
 
 pub use circle::Circle;
 pub use grid_index::GridIndex;
 pub use point::Point2;
 pub use rect::Rect;
-pub use vec2::Vec2;

@@ -66,9 +66,8 @@ pub mod prelude {
         simulate_attack, taint_observation, AttackClass, AttackConfig, AttackOutcome, Evasion,
     };
     pub use lad_core::{
-        AddAllMetric, DetectionMetric, DiffMetric, EngineArtifact, EngineError, LadEngine,
-        LadEngineBuilder, MetricKind, MultiVerdict, ProbabilityMetric, TrainedThresholds, Trainer,
-        TrainingConfig, Verdict,
+        EngineArtifact, EngineError, LadEngine, LadEngineBuilder, MetricKind, MultiVerdict,
+        TrainedThresholds, Trainer, TrainingConfig, Verdict,
     };
     pub use lad_deployment::{DeploymentConfig, DeploymentKnowledge, GzTable};
     pub use lad_eval::scenario::{

@@ -147,15 +147,6 @@ impl ServeSnapshot {
         }
         serde_json::from_value(&value).map_err(|e| ServeError::Parse(e.to_string()))
     }
-
-    /// The state of one node, if tracked (binary search over the sorted
-    /// states).
-    pub fn state_of(&self, node: u32) -> Option<&SequentialState> {
-        self.states
-            .binary_search_by_key(&node, |s| s.node)
-            .ok()
-            .map(|i| &self.states[i].state)
-    }
 }
 
 #[cfg(test)]
@@ -254,14 +245,5 @@ mod tests {
             ServeSnapshot::from_json("{}"),
             Err(ServeError::Parse(_))
         ));
-    }
-
-    #[test]
-    fn state_lookup_uses_the_sorted_order() {
-        let snap = snapshot();
-        assert!(snap.state_of(3).is_some());
-        assert!(snap.state_of(9).is_some());
-        assert!(snap.state_of(4).is_none());
-        assert_eq!(snap.state_of(3).unwrap().rounds, 16);
     }
 }

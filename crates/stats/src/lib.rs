@@ -6,8 +6,7 @@
 //!   ([`integrate`]) and a constant-time **lookup table** ([`lookup`]),
 //! * the probability metric needs a numerically stable **binomial pmf**
 //!   ([`binomial`]),
-//! * the deployment model is a 2-D isotropic **Gaussian**, whose radial
-//!   distance is **Rayleigh** ([`gaussian`], [`rayleigh`]),
+//! * the deployment model is a 2-D isotropic **Gaussian** ([`gaussian`]),
 //! * threshold training uses **percentiles** ([`percentile`]) over sampled
 //!   metric values ([`summary`]),
 //! * the evaluation section is built around **ROC curves** ([`roc`]) and
@@ -28,7 +27,6 @@ pub mod integrate;
 pub mod ks;
 pub mod lookup;
 pub mod percentile;
-pub mod rayleigh;
 pub mod roc;
 pub mod seeds;
 pub mod sequential;
@@ -36,9 +34,8 @@ pub mod streaming;
 pub mod summary;
 
 pub use binomial::Binomial;
-pub use gaussian::{Gaussian1d, IsotropicGaussian2d};
+pub use gaussian::IsotropicGaussian2d;
 pub use lookup::{LookupTable, PreparedLookup};
-pub use rayleigh::Rayleigh;
 pub use roc::{RocCurve, RocPoint};
 pub use sequential::{SequentialDetector, SequentialState};
 pub use streaming::{streaming_ks, streaming_roc, AccumulatorConfig, ScoreAccumulator};

@@ -55,7 +55,6 @@ fn greedy_taint_is_at_least_as_good_as_no_taint_for_the_attacker() {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let attack_base = AttackConfig::paper_default(120.0);
     for metric in MetricKind::ALL {
-        let scorer = metric.metric();
         let attack = AttackConfig {
             targeted_metric: metric,
             ..attack_base
@@ -64,8 +63,8 @@ fn greedy_taint_is_at_least_as_good_as_no_taint_for_the_attacker() {
             let outcome = simulate_attack(&network, NodeId(victim_idx), &attack, &mut rng);
             let mu = knowledge.expected_observation(outcome.forged_location);
             let tainted_score =
-                scorer.score(&outcome.tainted_observation, &mu, knowledge.group_size());
-            let clean_score = scorer.score(&outcome.clean_observation, &mu, knowledge.group_size());
+                metric.score(&outcome.tainted_observation, &mu, knowledge.group_size());
+            let clean_score = metric.score(&outcome.clean_observation, &mu, knowledge.group_size());
             assert!(
                 tainted_score <= clean_score + 1e-9,
                 "greedy taint made the attacker worse off for {:?}",
@@ -82,7 +81,6 @@ fn dec_bounded_attacks_score_no_higher_than_dec_only_attacks() {
     // when both target the same metric/victim/forged location.
     let (knowledge, network) = small_network(13);
     let metric = MetricKind::Diff;
-    let scorer = metric.metric();
     for victim_idx in [5u32, 100, 600] {
         // Use the same RNG seed for both classes so they forge the same L_e.
         let outcome_of = |class: AttackClass| {
@@ -99,8 +97,8 @@ fn dec_bounded_attacks_score_no_higher_than_dec_only_attacks() {
         let only = outcome_of(AttackClass::DecOnly);
         assert_eq!(bounded.forged_location, only.forged_location);
         let mu = knowledge.expected_observation(bounded.forged_location);
-        let s_bounded = scorer.score(&bounded.tainted_observation, &mu, knowledge.group_size());
-        let s_only = scorer.score(&only.tainted_observation, &mu, knowledge.group_size());
+        let s_bounded = metric.score(&bounded.tainted_observation, &mu, knowledge.group_size());
+        let s_only = metric.score(&only.tainted_observation, &mu, knowledge.group_size());
         assert!(s_bounded <= s_only + 1e-9);
     }
 }

@@ -1,13 +1,14 @@
 //! Sparse-vs-dense exactness: the sparse scoring path (support-indexed
 //! `SparseMu` + CSR `ObservationBatch` rows) must reproduce the dense
-//! kernels **bit for bit** — same support set, same µ values, same scores —
-//! over random deployments, corner and out-of-area estimates, and zero /
-//! random / saturated observations, for all three metrics and the fused
-//! kernel.
+//! per-metric reference `MetricKind::score` **bit for bit** — same support
+//! set, same µ values, same scores — over random deployments, corner and
+//! out-of-area estimates, and zero / random / saturated observations, for
+//! all three metrics' sparse kernels, the fused kernel and every engine
+//! entry point.
 
-use lad_core::metrics::{score_all_fused, score_all_fused_sparse};
-use lad_core::{LadEngine, MetricKind, ProbabilityMetric};
-use lad_deployment::{DeploymentConfig, DeploymentKnowledge, SparseMu};
+use lad_core::metrics::score_all_fused_sparse;
+use lad_core::{LadEngine, MetricKind};
+use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
 use lad_geometry::Point2;
 use lad_net::{Observation, ObservationBatch};
 use proptest::prelude::*;
@@ -69,24 +70,13 @@ fn check_point(knowledge: &DeploymentKnowledge, obs: &Observation, theta: Point2
     batch.push(obs, theta);
     let row = batch.row(0);
 
-    // Per-metric sparse kernels.
-    for kind in MetricKind::ALL {
-        let metric = kind.metric();
-        let dense = metric.score(obs, &dense_mu, m);
-        let sparse = metric.score_sparse(row, mu);
-        assert_bits(dense, sparse, kind.name());
-    }
-    assert_bits(
-        ProbabilityMetric::min_ln_probability(obs, &dense_mu, m),
-        ProbabilityMetric::min_ln_probability_sparse(row, mu),
-        "min_ln_probability",
-    );
-
-    // Fused kernels: dense vs sparse row.
-    let dense_fused = score_all_fused(obs, &dense_mu, m);
-    let sparse_fused = score_all_fused_sparse(row, mu);
-    for i in 0..3 {
-        assert_bits(dense_fused[i], sparse_fused[i], "fused sparse row");
+    // The per-metric sparse kernels and the fused pass, each against the
+    // dense per-metric reference.
+    let fused = score_all_fused_sparse(row, mu);
+    for (i, kind) in MetricKind::ALL.into_iter().enumerate() {
+        let dense = kind.score(obs, &dense_mu, m);
+        assert_bits(dense, kind.score_sparse(row, mu), kind.name());
+        assert_bits(dense, fused[i], "fused sparse row");
     }
 }
 
@@ -172,16 +162,20 @@ fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
         rows.push(&obs, at);
         observations.push(obs);
     }
-    // The engine's CSR row batch against the dense oracle: each request's
-    // dense observation scored by the fused kernel over the dense µ.
+    // The engine's CSR row batch against the dense reference: each
+    // request's dense observation scored per metric over the dense µ.
     let mut flat_rows = Vec::new();
     engine.score_rows_into(&rows, &mut flat_rows);
     let width = engine.metrics().len();
     assert_eq!(flat_rows.len(), rows.len() * width);
     for (r, (obs, row)) in observations.iter().zip(flat_rows.chunks(width)).enumerate() {
-        let dense = score_all_fused(obs, &knowledge.expected_observation(rows.estimate(r)), m);
-        for k in 0..width {
-            assert_bits(row[k], dense[k], &format!("row {r} metric {k}"));
+        let mu = knowledge.expected_observation(rows.estimate(r));
+        for (k, kind) in MetricKind::ALL.into_iter().enumerate() {
+            assert_bits(
+                row[k],
+                kind.score(obs, &mu, m),
+                &format!("row {r} metric {k}"),
+            );
         }
     }
     // The serve shard kernel: each single-metric column reproduces the
@@ -203,34 +197,90 @@ fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
 
 #[test]
 fn non_fused_engines_score_rows_identically_too() {
-    // A two-metric engine takes the per-metric (non-fused) path; rows must
-    // still match the dense kernels bit for bit.
-    let engine = LadEngine::builder()
+    // A two-metric engine takes the per-metric (non-fused) path; every
+    // entry point must still match the dense reference bit for bit.
+    let engine = non_fused_engine();
+    let knowledge = engine.knowledge().clone();
+    let n = knowledge.group_count();
+    let m = knowledge.group_size();
+    let mut rows = ObservationBatch::new(n);
+    let mut dense = Vec::new();
+    for i in 0..40u32 {
+        let obs = Observation::from_counts((0..n as u32).map(|g| (g + i) % 9).collect());
+        let at = Point2::new((i as f64 * 31.7) % 400.0, (i as f64 * 17.3) % 400.0);
+        rows.push(&obs, at);
+        let mu = knowledge.expected_observation(at);
+        for &kind in engine.metrics() {
+            dense.push(kind.score(&obs, &mu, m));
+        }
+    }
+    let check = |scores: &[f64], what: &str| {
+        assert_eq!(scores.len(), dense.len(), "{what}");
+        for (i, (&got, &want)) in scores.iter().zip(&dense).enumerate() {
+            assert_bits(
+                got,
+                want,
+                &format!("{what}: row {} column {}", i / 2, i % 2),
+            );
+        }
+    };
+    let mut flat_rows = Vec::new();
+    engine.score_rows_into(&rows, &mut flat_rows);
+    check(&flat_rows, "score_rows_into");
+
+    // The cached kernel twice over one cache: every row misses on the first
+    // pass (the fill path) and hits on the second (the in-place path).
+    let mut cache = MuCache::new(1024);
+    for (pass, hits) in [(1, 0), (2, rows.len() as u64)] {
+        let mut cached = vec![f64::NAN; 2 * rows.len()];
+        engine.score_rows_seq_cached_into(&rows, &mut cache, &mut cached);
+        assert_eq!((cache.hits(), cache.misses()), (hits, rows.len() as u64));
+        check(&cached, &format!("score_rows_seq_cached_into pass {pass}"));
+    }
+
+    // The single-metric shard kernels, uncached and cached, per column.
+    for (k, &kind) in engine.metrics().iter().enumerate() {
+        let mut one = vec![f64::NAN; rows.len()];
+        let mut one_cached = vec![f64::NAN; rows.len()];
+        engine.score_rows_seq_one_into(&rows, kind, &mut one);
+        engine.score_rows_seq_one_cached_into(&rows, kind, &mut cache, &mut one_cached);
+        for r in 0..rows.len() {
+            let want = dense[r * 2 + k];
+            assert_bits(one[r], want, &format!("{} row {r}", kind.name()));
+            assert_bits(
+                one_cached[r],
+                want,
+                &format!("{} cached row {r}", kind.name()),
+            );
+        }
+    }
+}
+
+/// A score-only `[Probability, Diff]` engine: not `MetricKind::ALL`, so it
+/// scores through the per-metric kernels, and `AddAll` is not configured.
+fn non_fused_engine() -> LadEngine {
+    LadEngine::builder()
         .deployment(&DeploymentConfig::small_test())
         .metric(MetricKind::Probability)
         .metric(MetricKind::Diff)
         .score_only()
         .build()
-        .unwrap();
-    let knowledge = engine.knowledge().clone();
-    let n = knowledge.group_count();
-    let m = knowledge.group_size();
-    let mut rows = ObservationBatch::new(n);
-    let mut observations = Vec::new();
-    for i in 0..40u32 {
-        let obs = Observation::from_counts((0..n as u32).map(|g| (g + i) % 9).collect());
-        let at = Point2::new((i as f64 * 31.7) % 400.0, (i as f64 * 17.3) % 400.0);
-        rows.push(&obs, at);
-        observations.push(obs);
-    }
-    let mut flat_rows = Vec::new();
-    engine.score_rows_into(&rows, &mut flat_rows);
-    assert_eq!(flat_rows.len(), 2 * rows.len());
-    for (r, (obs, row)) in observations.iter().zip(flat_rows.chunks(2)).enumerate() {
-        let mu = knowledge.expected_observation(rows.estimate(r));
-        let p = MetricKind::Probability.metric().score(obs, &mu, m);
-        let d = MetricKind::Diff.metric().score(obs, &mu, m);
-        assert_bits(row[0], p, &format!("row {r} probability"));
-        assert_bits(row[1], d, &format!("row {r} diff"));
-    }
+        .unwrap()
+}
+
+#[test]
+#[should_panic(expected = "not configured")]
+fn seq_one_rejects_an_unconfigured_metric() {
+    let engine = non_fused_engine();
+    let rows = ObservationBatch::new(engine.knowledge().group_count());
+    engine.score_rows_seq_one_into(&rows, MetricKind::AddAll, &mut []);
+}
+
+#[test]
+#[should_panic(expected = "not configured")]
+fn seq_one_cached_rejects_an_unconfigured_metric() {
+    let engine = non_fused_engine();
+    let rows = ObservationBatch::new(engine.knowledge().group_count());
+    let mut cache = MuCache::new(8);
+    engine.score_rows_seq_one_cached_into(&rows, MetricKind::AddAll, &mut cache, &mut []);
 }
