@@ -21,9 +21,12 @@
 //!
 //! ```text
 //! cargo run --release -p lad_bench --bin bench_snapshot -- \
-//!     [--out BENCH_18.json] [--quick] [--compare BENCH_18.json]
+//!     --out BENCH_<pr>.json [--quick] [--compare BENCH_18.json]
 //! ```
 //!
+//! `--out` is required, so a bare run never overwrites a committed
+//! snapshot. The snapshot's `pr` field is the `<pr>` of a `BENCH_<pr>.json`
+//! file name, and `null` for any other name (e.g. a CI scratch path).
 //! `--quick` shrinks iteration counts for CI; `--compare` prints
 //! per-section deltas against a previous snapshot — throughputs, overhead
 //! factors, and the per-stage p99 latencies from the wire run — and flags
@@ -201,7 +204,8 @@ struct MuFill {
 /// The whole snapshot (`BENCH_<pr>.json`).
 #[derive(Debug, Serialize)]
 struct Snapshot {
-    pr: u32,
+    /// The PR number taken from a `BENCH_<pr>.json` `--out` name.
+    pr: Option<u32>,
     unix_time: u64,
     /// Cores available to this run — the shard-scaling curve only covers
     /// shard counts ≤ this (shards beyond cores time-slice one CPU and
@@ -895,8 +899,10 @@ fn compare_snapshots(old_path: &str, snap: &Snapshot) -> usize {
         std::fs::read_to_string(old_path).unwrap_or_else(|e| panic!("--compare {old_path}: {e}"));
     let old = serde_json::parse_value(&text)
         .unwrap_or_else(|e| panic!("--compare {old_path}: parse error {e:?}"));
-    let old_pr = old.get("pr").and_then(Value::as_u64).unwrap_or(0);
-    println!("== delta vs {old_path} (PR {old_pr}) ==");
+    match old.get("pr").and_then(Value::as_u64) {
+        Some(pr) => println!("== delta vs {old_path} (PR {pr}) =="),
+        None => println!("== delta vs {old_path} =="),
+    }
     let mut regressions = 0usize;
     for metric in metrics_of(snap) {
         let Some(before) = lookup(&old, &metric.name) else {
@@ -934,14 +940,25 @@ fn compare_snapshots(old_path: &str, snap: &Snapshot) -> usize {
     regressions
 }
 
+/// The `<pr>` of a `BENCH_<pr>.json` path's file name, if it has that form.
+fn pr_of(path: &str) -> Option<u32> {
+    std::path::Path::new(path)
+        .file_name()?
+        .to_str()?
+        .strip_prefix("BENCH_")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
+}
+
 fn main() {
-    let mut out = String::from("BENCH_18.json");
+    let mut out: Option<String> = None;
     let mut quick = false;
     let mut compare: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out = args.next().expect("--out needs a path"),
+            "--out" => out = Some(args.next().expect("--out needs a path")),
             "--quick" => quick = true,
             "--compare" => compare = Some(args.next().expect("--compare needs a path")),
             other => panic!(
@@ -949,6 +966,7 @@ fn main() {
             ),
         }
     }
+    let out = out.expect("--out <path> is required (e.g. --out BENCH_<pr>.json)");
     let effort = if quick {
         Effort::quick()
     } else {
@@ -1028,7 +1046,7 @@ fn main() {
             / overload_offered as f64,
     };
     let snapshot = Snapshot {
-        pr: 18,
+        pr: pr_of(&out),
         unix_time: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())

@@ -1,4 +1,4 @@
-//! `LadEngine` — the batched, pluggable, versioned detection engine.
+//! `LadEngine` — the batched, versioned detection engine.
 //!
 //! This is the front door for location verification:
 //!
@@ -16,9 +16,14 @@
 //!   [`SparseMu`] scratch (no per-call allocation after warm-up) and shared
 //!   by *all* configured metrics; with exactly the paper's three metrics
 //!   they are scored in one fused pass.
-//! * **Pluggable** — any number of [`MetricKind`]s, any
-//!   [`LocalizationScheme`] as a trait object, thresholds from τ-percentile
-//!   training or supplied explicitly.
+//! * **Configurable** — any number of [`MetricKind`]s, thresholds from
+//!   τ-percentile training or supplied explicitly.
+//! * **Localization-independent at the estimate boundary** — every scoring
+//!   entry point takes the estimate `L_e` as input, so estimates from any
+//!   scheme can be verified. The engine's own [`LadEngine::localizer`] is
+//!   the beaconless MLE its artifact records (`training.localizer`): the
+//!   one training used, so an engine restored by [`LadEngine::from_json`]
+//!   localizes exactly like the one that was saved.
 //! * **Versioned artifacts** — [`LadEngine::to_json`] emits an
 //!   [`EngineArtifact`] with an explicit `version` field;
 //!   [`LadEngine::from_json`] rejects unknown versions with the typed
@@ -52,7 +57,7 @@ use crate::threshold::TrainedThresholds;
 use crate::training::{Trainer, TrainingConfig};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, MuView, SparseMu};
 use lad_geometry::Point2;
-pub use lad_localization::LocalizationScheme;
+use lad_localization::BeaconlessMle;
 use lad_net::{Network, NodeId, ObsRow, Observation, ObservationBatch};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -158,7 +163,7 @@ impl MultiVerdict {
 }
 
 /// The serialisable state of an engine: everything except the rebuildable
-/// deployment knowledge and the (non-serialisable) localization scheme.
+/// deployment knowledge.
 ///
 /// Serialised artifacts carry `version: 1`; loading rejects other versions
 /// with [`EngineError::UnsupportedVersion`].
@@ -192,7 +197,6 @@ pub struct LadEngineBuilder {
     tau: f64,
     explicit_thresholds: Option<Vec<f64>>,
     score_only: bool,
-    localizer: Option<Arc<dyn LocalizationScheme>>,
 }
 
 impl Default for LadEngineBuilder {
@@ -204,7 +208,6 @@ impl Default for LadEngineBuilder {
             tau: 0.99,
             explicit_thresholds: None,
             score_only: false,
-            localizer: None,
         }
     }
 }
@@ -260,19 +263,6 @@ impl LadEngineBuilder {
         self
     }
 
-    /// Plugs in a localization scheme for [`LadEngine::localize_and_verify`]
-    /// and [`LadEngine::localize_batch`] (default: the beaconless MLE from
-    /// the training configuration).
-    pub fn localizer(self, scheme: impl LocalizationScheme + 'static) -> Self {
-        self.localizer_arc(Arc::new(scheme))
-    }
-
-    /// Like [`Self::localizer`] but takes an existing `Arc`.
-    pub fn localizer_arc(mut self, scheme: Arc<dyn LocalizationScheme>) -> Self {
-        self.localizer = Some(scheme);
-        self
-    }
-
     /// Builds the engine, running threshold training unless explicit
     /// thresholds or score-only mode were requested.
     pub fn build(self) -> Result<LadEngine, EngineError> {
@@ -318,10 +308,7 @@ impl LadEngineBuilder {
             thresholds,
             tau,
         };
-        let localizer = self
-            .localizer
-            .unwrap_or_else(|| Arc::new(self.training.localizer));
-        Ok(LadEngine::assemble(knowledge, artifact, localizer))
+        Ok(LadEngine::assemble(knowledge, artifact))
     }
 }
 
@@ -332,7 +319,7 @@ thread_local! {
     static MU_SCRATCH: RefCell<SparseMu> = RefCell::new(SparseMu::default());
 }
 
-/// The batched, pluggable, versioned LAD detection engine.
+/// The batched, versioned LAD detection engine.
 ///
 /// Build with [`LadEngine::builder`]; see the [module docs](self) for the
 /// design and a usage example.
@@ -345,7 +332,6 @@ pub struct LadEngine {
     /// ([`crate::metrics::score_all_fused_sparse`]) instead of one pass per
     /// metric.
     fused: bool,
-    localizer: Arc<dyn LocalizationScheme>,
 }
 
 impl fmt::Debug for LadEngine {
@@ -354,7 +340,7 @@ impl fmt::Debug for LadEngine {
             .field("metrics", &self.artifact.metrics)
             .field("thresholds", &self.artifact.thresholds)
             .field("tau", &self.artifact.tau)
-            .field("localizer", &self.localizer.scheme_name())
+            .field("localizer", self.localizer())
             .finish_non_exhaustive()
     }
 }
@@ -365,17 +351,12 @@ impl LadEngine {
         LadEngineBuilder::default()
     }
 
-    fn assemble(
-        knowledge: Arc<DeploymentKnowledge>,
-        artifact: EngineArtifact,
-        localizer: Arc<dyn LocalizationScheme>,
-    ) -> Self {
+    fn assemble(knowledge: Arc<DeploymentKnowledge>, artifact: EngineArtifact) -> Self {
         let fused = artifact.metrics == MetricKind::ALL;
         Self {
             knowledge,
             artifact,
             fused,
-            localizer,
         }
     }
 
@@ -403,20 +384,10 @@ impl LadEngine {
         self.artifact.tau
     }
 
-    /// The trained clean-score distributions (re-derive thresholds at
-    /// another τ without retraining).
-    pub fn trained(&self) -> &TrainedThresholds {
-        &self.artifact.trained
-    }
-
-    /// The serialisable artifact.
-    pub fn artifact(&self) -> &EngineArtifact {
-        &self.artifact
-    }
-
-    /// The pluggable localization scheme.
-    pub fn localizer(&self) -> &Arc<dyn LocalizationScheme> {
-        &self.localizer
+    /// The localization scheme the artifact records: the beaconless MLE
+    /// training localized with.
+    pub fn localizer(&self) -> &BeaconlessMle {
+        &self.artifact.training.localizer
     }
 
     /// Position of `metric` in the engine's scoring order.
@@ -736,19 +707,8 @@ impl LadEngine {
         node: NodeId,
     ) -> Option<(Point2, MultiVerdict)> {
         let obs = network.true_observation(node);
-        let estimate = self.localizer.estimate(&self.knowledge, &obs)?;
+        let estimate = self.localizer().estimate(&self.knowledge, &obs)?;
         Some((estimate, self.verify(&obs, estimate)))
-    }
-
-    /// Localizes many nodes in parallel with the engine's scheme.
-    pub fn localize_batch(&self, network: &Network, nodes: &[NodeId]) -> Vec<Option<Point2>> {
-        nodes
-            .par_iter()
-            .map(|&node| {
-                let obs = network.true_observation(node);
-                self.localizer.estimate(&self.knowledge, &obs)
-            })
-            .collect()
     }
 
     // ---- serialisation -----------------------------------------------------
@@ -785,13 +745,9 @@ impl LadEngine {
         Self::from_artifact(artifact)
     }
 
-    /// Rebuilds an engine from a deserialised artifact.
-    pub fn from_artifact(artifact: EngineArtifact) -> Result<Self, EngineError> {
-        if artifact.version != ARTIFACT_VERSION {
-            return Err(EngineError::UnsupportedVersion {
-                found: artifact.version as u64,
-            });
-        }
+    /// Rebuilds an engine from a deserialised artifact whose version
+    /// [`Self::from_json`] has checked.
+    fn from_artifact(artifact: EngineArtifact) -> Result<Self, EngineError> {
         let metrics = &artifact.metrics;
         if metrics.is_empty()
             || metrics
@@ -808,15 +764,13 @@ impl LadEngine {
             });
         }
         let knowledge = DeploymentKnowledge::shared(&artifact.deployment);
-        let localizer: Arc<dyn LocalizationScheme> = Arc::new(artifact.training.localizer);
-        Ok(Self::assemble(knowledge, artifact, localizer))
+        Ok(Self::assemble(knowledge, artifact))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lad_localization::BeaconlessMle;
 
     fn quick_training() -> TrainingConfig {
         TrainingConfig {
@@ -1078,39 +1032,11 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(engine.thresholds(), &[30.0]);
-        assert_eq!(engine.trained().sample_count(MetricKind::Diff), 0);
+        assert_eq!(engine.artifact.trained.sample_count(MetricKind::Diff), 0);
         assert!(engine.tau().is_none());
         let obs = Observation::zeros(engine.knowledge().group_count());
         let verdict = engine.verify(&obs, Point2::new(200.0, 200.0));
         assert_eq!(verdict.verdicts[0].threshold, 30.0);
-    }
-
-    #[test]
-    fn custom_localization_scheme_is_used() {
-        struct Pin(Point2);
-        impl LocalizationScheme for Pin {
-            fn scheme_name(&self) -> &'static str {
-                "pin"
-            }
-            fn estimate(
-                &self,
-                _knowledge: &DeploymentKnowledge,
-                _obs: &Observation,
-            ) -> Option<Point2> {
-                Some(self.0)
-            }
-        }
-        let engine = LadEngine::builder()
-            .deployment(&DeploymentConfig::small_test())
-            .metric(MetricKind::Diff)
-            .thresholds(vec![1e9])
-            .localizer(Pin(Point2::new(42.0, 43.0)))
-            .build()
-            .unwrap();
-        let network = Network::generate(engine.knowledge().clone(), 9);
-        let (estimate, _) = engine.localize_and_verify(&network, NodeId(3)).unwrap();
-        assert_eq!(estimate, Point2::new(42.0, 43.0));
-        assert_eq!(engine.localizer().scheme_name(), "pin");
     }
 
     #[test]

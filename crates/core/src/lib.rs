@@ -16,7 +16,7 @@
 //! batched, multi-metric detection engine that scores CSR observation rows
 //! ([`lad_net::ObservationBatch`]) against the sparse support of `µ(L_e)`,
 //! computed once per estimate, fans batches out over worker threads,
-//! accepts any localization scheme as a trait object, and serialises to
+//! verifies estimates from any localization scheme, and serialises to
 //! versioned artifacts. It is the only detector: [`LadEngine::verify`] and
 //! [`LadEngine::verify_rows`] return one [`Verdict`] per metric. The dense
 //! [`MetricKind::score`] is the reference the sparse kernels
@@ -71,10 +71,7 @@ pub mod metrics;
 pub mod threshold;
 pub mod training;
 
-pub use engine::{
-    EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme, MultiVerdict,
-    Verdict,
-};
+pub use engine::{EngineArtifact, EngineError, LadEngine, LadEngineBuilder, MultiVerdict, Verdict};
 pub use metrics::MetricKind;
 pub use threshold::TrainedThresholds;
 pub use training::{Trainer, TrainingConfig};
@@ -82,8 +79,7 @@ pub use training::{Trainer, TrainingConfig};
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::engine::{
-        EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme, MultiVerdict,
-        Verdict,
+        EngineArtifact, EngineError, LadEngine, LadEngineBuilder, MultiVerdict, Verdict,
     };
     pub use crate::metrics::MetricKind;
     pub use crate::threshold::TrainedThresholds;

@@ -173,7 +173,7 @@ fn run_cell(
 /// damage × compromise grid on the shared standard-deployment substrate.
 pub fn containment(base: &EvalConfig, cache: &SubstrateCache) -> FigureReport {
     let substrate = standard_substrate(base, cache);
-    let engine_ref = substrate.engine();
+    let engine = substrate.engine();
     let network = &substrate.networks()[0];
     let seed = derive_seed(base.seed, &[0x0C04_7A14]);
 
@@ -182,13 +182,13 @@ pub fn containment(base: &EvalConfig, cache: &SubstrateCache) -> FigureReport {
         base.clean_samples_per_network,
         derive_seed(seed, &[1]),
     );
-    let clean = TrafficModel::clean(network, engine_ref, population, seed);
+    let clean = TrafficModel::clean(network, engine, population, seed);
 
     // Both rules calibrated at the same per-round FAR on the same clean
     // warm-up; each rule's revocation budget calibrated on *its own* clean
     // alarm behaviour at the same collateral target — equal footing end to
     // end.
-    let warmup = clean.score_streams(network, engine_ref, MetricKind::Diff, 0..WARMUP_ROUNDS);
+    let warmup = clean.score_streams(network, engine, MetricKind::Diff, 0..WARMUP_ROUNDS);
     let streams = || warmup.iter().map(Vec::as_slice);
     let detectors = [
         SequentialDetector::calibrate_one_shot(streams(), TARGET_FAR),
@@ -213,15 +213,6 @@ pub fn containment(base: &EvalConfig, cache: &SubstrateCache) -> FigureReport {
             )
         })
         .collect();
-
-    // The serving runtime wants an `Arc<LadEngine>`; the substrate owns
-    // its engine by value, so rebuild an identical one through the
-    // versioned artifact (bit-identical scoring — the artifact round trip
-    // is asserted by the engine test suite).
-    let engine = Arc::new(
-        lad_core::engine::LadEngine::from_json(&engine_ref.to_json())
-            .expect("substrate engine round-trips"),
-    );
 
     let mut report = FigureReport::new(
         "containment",
@@ -253,7 +244,7 @@ pub fn containment(base: &EvalConfig, cache: &SubstrateCache) -> FigureReport {
             let mut curve = Vec::new();
             for &damage in &DAMAGE_SWEEP {
                 let outcome = run_cell(
-                    &engine,
+                    engine,
                     network,
                     &clean,
                     *detector,

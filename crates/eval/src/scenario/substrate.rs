@@ -52,7 +52,7 @@ pub struct Substrate {
     axis: DeploymentAxis,
     sampling: SamplingPlan,
     accumulator: AccumulatorConfig,
-    engine: LadEngine,
+    engine: Arc<LadEngine>,
     networks: Vec<Network>,
     clean: Vec<ScoreAccumulator>,
     clean_errors: Summary,
@@ -67,12 +67,14 @@ impl Substrate {
         sampling: &SamplingPlan,
         accumulator: AccumulatorConfig,
     ) -> Self {
-        let engine = LadEngine::builder()
-            .deployment(&axis.config)
-            .metrics(&MetricKind::ALL)
-            .score_only()
-            .build()
-            .expect("scenario deployment is valid");
+        let engine = Arc::new(
+            LadEngine::builder()
+                .deployment(&axis.config)
+                .metrics(&MetricKind::ALL)
+                .score_only()
+                .build()
+                .expect("scenario deployment is valid"),
+        );
         let actual = DeploymentKnowledge::shared(&axis.actual_config());
         let networks: Vec<Network> = (0..sampling.networks)
             .into_par_iter()
@@ -133,7 +135,7 @@ impl Substrate {
     }
 
     /// The score-only engine (all three metrics, assumed deployment model).
-    pub fn engine(&self) -> &LadEngine {
+    pub fn engine(&self) -> &Arc<LadEngine> {
         &self.engine
     }
 
@@ -165,9 +167,10 @@ impl Substrate {
     /// Streams the attacked scores of one grid cell into an accumulator
     /// with layout `accumulator` (usually the spec's).
     ///
-    /// Trial seeds derive from `(master, network, D-bits, x-bits, mix,
-    /// metric)`; note `fraction.to_bits()` — deriving from a truncated
-    /// `fraction * 1e6` would collide for nearby fractions.
+    /// Only `cell.metric` is scored. Trial seeds derive from `(master,
+    /// network, D-bits, x-bits, mix, metric column)`; note
+    /// `fraction.to_bits()` — deriving from a truncated `fraction * 1e6`
+    /// would collide for nearby fractions.
     pub fn collect_attacked(
         &self,
         cell: &CellParams,
@@ -198,8 +201,8 @@ impl Substrate {
                 derive_seed(point_seed, &[1]),
             );
             // One network's worth of trials: simulate (parallel), pack the
-            // tainted observations into a flat CSR batch, batch-score into
-            // a flat reused buffer, stream. Buffers are bounded by
+            // tainted observations into a flat CSR batch, score the cell's
+            // metric into a reused buffer, stream. Buffers are bounded by
             // victims_per_network, not the cell's total sample count.
             let outcomes: Vec<_> = ids
                 .into_par_iter()
@@ -221,9 +224,10 @@ impl Substrate {
             for outcome in &outcomes {
                 rows.push(&outcome.tainted_observation, outcome.forged_location);
             }
-            let width = self.engine.metrics().len();
-            self.engine.score_rows_into(&rows, &mut scores);
-            out.extend(scores.chunks_exact(width).map(|row| row[column]));
+            scores.resize(rows.len(), 0.0);
+            self.engine
+                .score_rows_seq_one_into(&rows, cell.metric, &mut scores);
+            out.extend(scores.iter().copied());
         }
         out
     }

@@ -76,9 +76,7 @@ pub mod prelude {
     };
     pub use lad_eval::EvalConfig;
     pub use lad_geometry::{Point2, Rect};
-    pub use lad_localization::{
-        BeaconlessMle, CentroidLocalizer, DvHopLocalizer, LocalizationScheme, Localizer,
-    };
+    pub use lad_localization::{BeaconlessMle, CentroidLocalizer, DvHopLocalizer, Localizer};
     pub use lad_net::{GroupId, Network, NodeId, Observation, ObservationBatch};
     pub use lad_response::{
         AlarmJournal, ClusterQuarantine, ResponseConfig, ResponseController, RevocationList,

@@ -15,10 +15,9 @@
 //! cheap, derivative-free, and robust to the plateaus of the likelihood
 //! surface.
 
-use crate::scheme::Localizer;
 use lad_deployment::DeploymentKnowledge;
 use lad_geometry::Point2;
-use lad_net::{Network, NodeId, Observation};
+use lad_net::Observation;
 use serde::{Deserialize, Serialize};
 
 /// Maximum-likelihood beaconless localizer.
@@ -137,32 +136,12 @@ impl BeaconlessMle {
     }
 }
 
-impl Localizer for BeaconlessMle {
-    fn name(&self) -> &'static str {
-        "beaconless-mle"
-    }
-
-    fn localize(&self, network: &Network, node: NodeId) -> Option<Point2> {
-        let obs = network.true_observation(node);
-        self.estimate(network.knowledge(), &obs)
-    }
-}
-
-impl crate::scheme::LocalizationScheme for BeaconlessMle {
-    fn scheme_name(&self) -> &'static str {
-        "beaconless-mle"
-    }
-
-    fn estimate(&self, knowledge: &DeploymentKnowledge, obs: &Observation) -> Option<Point2> {
-        BeaconlessMle::estimate(self, knowledge, obs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lad_deployment::DeploymentConfig;
     use lad_deployment::DeploymentKnowledge;
+    use lad_net::{Network, NodeId};
     use rayon::prelude::*;
 
     fn network(seed: u64) -> Network {
@@ -203,7 +182,7 @@ mod tests {
         let errors: Vec<f64> = sample
             .par_iter()
             .filter_map(|&id| {
-                let est = loc.localize(&net, id)?;
+                let est = loc.estimate(net.knowledge(), &net.true_observation(id))?;
                 Some(est.distance(net.node(id).resident_point))
             })
             .collect();
@@ -227,7 +206,7 @@ mod tests {
             let errs: Vec<f64> = ids
                 .par_iter()
                 .filter_map(|&id| {
-                    let est = loc.localize(&net, id)?;
+                    let est = loc.estimate(net.knowledge(), &net.true_observation(id))?;
                     Some(est.distance(net.node(id).resident_point))
                 })
                 .collect();

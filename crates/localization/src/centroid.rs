@@ -42,10 +42,6 @@ impl CentroidLocalizer {
 }
 
 impl Localizer for CentroidLocalizer {
-    fn name(&self) -> &'static str {
-        "centroid"
-    }
-
     fn localize(&self, network: &Network, node: NodeId) -> Option<Point2> {
         self.estimate_at(network.node(node).resident_point)
     }
@@ -91,7 +87,6 @@ mod tests {
         let mean = errors.iter().sum::<f64>() / errors.len() as f64;
         // Centroid is coarse; with this anchor density errors stay below ~80 m.
         assert!(mean < 80.0, "mean centroid error {mean}");
-        assert_eq!(loc.name(), "centroid");
     }
 
     #[test]

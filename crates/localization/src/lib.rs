@@ -31,4 +31,4 @@ pub use anchors::{Anchor, AnchorField};
 pub use beaconless::BeaconlessMle;
 pub use centroid::CentroidLocalizer;
 pub use dvhop::DvHopLocalizer;
-pub use scheme::{LocalizationScheme, Localizer};
+pub use scheme::Localizer;

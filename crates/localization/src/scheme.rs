@@ -1,20 +1,15 @@
-//! The common interfaces all localization schemes implement.
+//! The interface the beacon-based localization schemes implement.
 //!
-//! Two traits live here:
-//!
-//! * [`Localizer`] — the simulation-facing interface: given the deployed
-//!   network and a node id, estimate the node's location. Beacon-based
-//!   schemes (centroid, DV-Hop) need this view because they read anchor
-//!   broadcasts off the network.
-//! * [`LocalizationScheme`] — the sensor-facing, **object-safe** interface:
-//!   given only what a single sensor holds (deployment knowledge and its own
-//!   observation), estimate its location. This is the interface
-//!   `lad_core::engine::LadEngine` accepts as a trait object, so any scheme
-//!   can be plugged into the detection engine.
+//! [`Localizer`] is the simulation-facing view: given the deployed network
+//! and a node id, estimate the node's location. The beacon-based baselines
+//! (centroid, DV-Hop) need this view because they read anchor broadcasts
+//! off the network, and the evaluation harness picks one of them at run
+//! time. The beaconless MLE needs only what a sensor holds, so it is called
+//! directly through [`crate::BeaconlessMle::estimate`] — the detection
+//! engine localizes with the one its artifact records.
 
-use lad_deployment::DeploymentKnowledge;
 use lad_geometry::Point2;
-use lad_net::{Network, NodeId, Observation};
+use lad_net::{Network, NodeId};
 
 /// A localization scheme: given the deployed network and a node, produce the
 /// node's estimated location `L_e`.
@@ -26,62 +21,7 @@ use lad_net::{Network, NodeId, Observation};
 /// The `Send + Sync` bound lets evaluation harnesses run localization for
 /// many nodes in parallel.
 pub trait Localizer: Send + Sync {
-    /// Human-readable scheme name (used in reports).
-    fn name(&self) -> &'static str;
-
     /// Estimates the location of `node`, or `None` when the scheme has no
     /// information at all (e.g. an isolated node hearing no anchors).
     fn localize(&self, network: &Network, node: NodeId) -> Option<Point2>;
-
-    /// Estimates locations for many nodes (default: one by one).
-    fn localize_many(&self, network: &Network, nodes: &[NodeId]) -> Vec<Option<Point2>> {
-        nodes.iter().map(|&n| self.localize(network, n)).collect()
-    }
-}
-
-/// An object-safe localization scheme operating on exactly the information a
-/// deployed sensor holds: the pre-provisioned deployment knowledge and its
-/// own observation.
-///
-/// `lad_core::engine::LadEngine` stores one of these as an
-/// `Arc<dyn LocalizationScheme>`, so detection can be composed with any
-/// scheme — the paper's beaconless MLE, a hardware positioning unit, or a
-/// test double — without the engine being generic over it.
-pub trait LocalizationScheme: Send + Sync {
-    /// Human-readable scheme name (used in reports).
-    fn scheme_name(&self) -> &'static str;
-
-    /// Estimates the sensor's location from its observation, or `None` when
-    /// the observation carries no information (e.g. no neighbours heard).
-    fn estimate(&self, knowledge: &DeploymentKnowledge, obs: &Observation) -> Option<Point2>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct FixedLocalizer(Point2);
-
-    impl Localizer for FixedLocalizer {
-        fn name(&self) -> &'static str {
-            "fixed"
-        }
-        fn localize(&self, _network: &Network, _node: NodeId) -> Option<Point2> {
-            Some(self.0)
-        }
-    }
-
-    #[test]
-    fn localize_many_default_maps_each_node() {
-        use lad_deployment::{DeploymentConfig, DeploymentKnowledge};
-        let net = Network::generate(
-            DeploymentKnowledge::shared(&DeploymentConfig::small_test()),
-            1,
-        );
-        let loc = FixedLocalizer(Point2::new(1.0, 2.0));
-        let out = loc.localize_many(&net, &[NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|p| *p == Some(Point2::new(1.0, 2.0))));
-        assert_eq!(loc.name(), "fixed");
-    }
 }

@@ -131,7 +131,7 @@ struct Reporter {
 #[derive(Clone)]
 pub struct TrafficModel {
     reporters: Vec<Reporter>,
-    localizer: std::sync::Arc<dyn lad_localization::LocalizationScheme>,
+    localizer: lad_localization::BeaconlessMle,
     knowledge: std::sync::Arc<lad_deployment::DeploymentKnowledge>,
     timeline: AttackTimeline,
     attack: Option<AttackConfig>,
@@ -226,7 +226,7 @@ impl TrafficModel {
 
         Self {
             reporters,
-            localizer: engine.localizer().clone(),
+            localizer: *engine.localizer(),
             knowledge: knowledge.clone(),
             timeline: AttackTimeline::Clean,
             attack: None,

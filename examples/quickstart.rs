@@ -54,8 +54,8 @@ fn main() {
     let network = Network::generate(engine.knowledge().clone(), 42);
     println!("simulated {} sensors", network.node_count());
 
-    // 4. An honest sensor localizes itself (the engine's pluggable scheme —
-    //    beaconless MLE by default) and verifies its own estimate: no alarm.
+    // 4. An honest sensor localizes itself (the beaconless MLE the engine's
+    //    artifact records) and verifies its own estimate: no alarm.
     let victim = NodeId(123);
     let (honest_estimate, honest) = engine
         .localize_and_verify(&network, victim)

@@ -43,12 +43,10 @@ fn large_damage_attacks_are_detected_and_honest_nodes_pass() {
         .map(|i| NodeId(i as u32))
         .collect();
     let mut honest_rows = ObservationBatch::new(network.group_count());
-    for (&id, estimate) in sampled
-        .iter()
-        .zip(engine.localize_batch(&network, &sampled))
-    {
-        if let Some(estimate) = estimate {
-            honest_rows.push(&network.true_observation(id), estimate);
+    for &id in &sampled {
+        let obs = network.true_observation(id);
+        if let Some(estimate) = engine.localizer().estimate(engine.knowledge(), &obs) {
+            honest_rows.push(&obs, estimate);
         }
     }
     let honest_verdicts = engine.verify_rows(&honest_rows);

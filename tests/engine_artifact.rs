@@ -1,10 +1,12 @@
 //! Coverage for the versioned `EngineArtifact` format: JSON round trips
-//! preserve verdicts, unknown versions and invalid metric lists are
+//! preserve verdicts and the recorded localizer, unknown versions and invalid metric lists are
 //! rejected with typed errors, and unversioned legacy (pre-engine) JSON is
 //! a parse error.
 
 use lad::prelude::*;
 
+/// Fitted with a non-default localizer, so a round trip that fell back to
+/// the default scheme would localize differently.
 fn fitted_engine() -> LadEngine {
     LadEngine::builder()
         .deployment(&DeploymentConfig::small_test())
@@ -12,7 +14,10 @@ fn fitted_engine() -> LadEngine {
             networks: 2,
             samples_per_network: 80,
             seed: 4242,
-            ..TrainingConfig::default()
+            localizer: BeaconlessMle {
+                initial_step: 32.0,
+                ..BeaconlessMle::default()
+            },
         })
         .metrics(&MetricKind::ALL)
         .tau(0.99)
@@ -47,6 +52,18 @@ fn json_round_trip_preserves_every_verdict() {
     assert_eq!(engine.metrics(), restored.metrics());
     assert_eq!(engine.thresholds(), restored.thresholds());
     assert_eq!(engine.tau(), restored.tau());
+    assert_eq!(restored.localizer(), engine.localizer());
+
+    let network = Network::generate(engine.knowledge().clone(), 77);
+    for i in 0..60u32 {
+        let obs = network.true_observation(NodeId(i * 13));
+        let bits = |e: &LadEngine| {
+            e.localizer()
+                .estimate(e.knowledge(), &obs)
+                .map(|p| (p.x.to_bits(), p.y.to_bits()))
+        };
+        assert_eq!(bits(&engine), bits(&restored), "node {}", i * 13);
+    }
 
     let rows = probe_rows(&engine);
     assert!(rows.len() > 30);
