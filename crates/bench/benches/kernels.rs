@@ -1,14 +1,16 @@
 //! Microbenchmarks of the hot kernels: g(z) evaluation, metric scoring
 //! (dense reference and sparse), neighbourhood queries, MLE localization,
-//! greedy taint generation — and the engine's batched row verification
-//! and scoring at 1 k and 100 k reports.
+//! greedy taint generation — the engine's batched row verification and
+//! scoring at 1 k and 100 k reports, and the serve shard's Diff kernel over
+//! the 4096 distinct rows of the paper-scale pool.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lad_attack::{taint_observation, AttackClass};
+use lad_bench::{paper_rounds, PaperRounds};
 use lad_core::engine::LadEngine;
-use lad_core::metrics::score_all_fused_sparse;
+use lad_core::metrics::{score_all_fused_sparse, ObsScratch};
 use lad_core::MetricKind;
-use lad_deployment::{gz_exact, DeploymentConfig, DeploymentKnowledge, GzTable, SparseMu};
+use lad_deployment::{gz_exact, DeploymentConfig, DeploymentKnowledge, GzTable, MuCache, SparseMu};
 use lad_geometry::Point2;
 use lad_localization::BeaconlessMle;
 use lad_net::{Network, NodeId, ObservationBatch};
@@ -84,9 +86,10 @@ fn bench_kernels(c: &mut Criterion) {
     paper_batch.push(&paper_obs, paper_at);
     group.bench_function("fused_score_sparse_paper_scale", |b| {
         let mut smu = SparseMu::new();
+        let mut scratch = ObsScratch::new();
         b.iter(|| {
             paper_knowledge.expected_sparse_into(black_box(paper_at), &mut smu);
-            score_all_fused_sparse(black_box(paper_batch.row(0)), smu.view())
+            score_all_fused_sparse(black_box(paper_batch.row(0)), smu.view(), &mut scratch)
         })
     });
     group.bench_function("expected_sparse_into_paper_scale", |b| {
@@ -116,9 +119,10 @@ fn bench_kernels(c: &mut Criterion) {
     big_batch.push(&big_obs, big_at);
     group.bench_function("fused_score_sparse_4x_scale", |b| {
         let mut smu = SparseMu::new();
+        let mut scratch = ObsScratch::new();
         b.iter(|| {
             big_knowledge.expected_sparse_into(black_box(big_at), &mut smu);
-            score_all_fused_sparse(black_box(big_batch.row(0)), smu.view())
+            score_all_fused_sparse(black_box(big_batch.row(0)), smu.view(), &mut scratch)
         })
     });
     group.bench_function("greedy_taint_diff_dec_bounded", |b| {
@@ -187,5 +191,48 @@ fn bench_engine_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_engine_batch);
+/// The serve shard's Diff kernel over the paper-scale pool, one iteration
+/// per pass over its 8 rounds × 512 distinct rows: cached (every estimate
+/// memoized, as on a replaying shard) and uncached (a µ fill per row).
+/// Distinct rows keep the branch predictor from learning one row, as the
+/// single-row `fused_score_sparse_*` loops let it.
+fn bench_shard_kernel(c: &mut Criterion) {
+    let PaperRounds { engine, rounds, .. } = paper_rounds();
+    let rounds: Vec<ObservationBatch> = rounds.into_iter().map(|(_, rows)| rows).collect();
+    let mut scores = Vec::new();
+    let mut group = c.benchmark_group("shard_kernel");
+    group.sample_size(20);
+    group.bench_function("diff_cached_paper_pool", |b| {
+        let mut cache = MuCache::new(16_384);
+        b.iter(|| {
+            for rows in &rounds {
+                scores.resize(rows.len(), 0.0);
+                engine.score_rows_seq_one_cached_into(
+                    black_box(rows),
+                    MetricKind::Diff,
+                    &mut cache,
+                    &mut scores,
+                );
+            }
+            scores[0]
+        })
+    });
+    group.bench_function("diff_uncached_paper_pool", |b| {
+        b.iter(|| {
+            for rows in &rounds {
+                scores.resize(rows.len(), 0.0);
+                engine.score_rows_seq_one_into(black_box(rows), MetricKind::Diff, &mut scores);
+            }
+            scores[0]
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_engine_batch,
+    bench_shard_kernel
+);
 criterion_main!(benches);

@@ -15,13 +15,14 @@
 //! the paced serve round (`submit_rows` + `sync` of one paper-scale round
 //! after the shard has idled for 2.5 ms), and the uncached µ fill (the
 //! scalar g(z) map vs the dispatched lane kernel over the same gathered
-//! d²) — and writes the numbers to a
+//! d²), and the serve shard's Diff kernel per report over 4096 distinct
+//! rows, cached and uncached — and writes the numbers to a
 //! `BENCH_<pr>.json` at the repo root, so every PR leaves a comparable
 //! perf record behind.
 //!
 //! ```text
 //! cargo run --release -p lad_bench --bin bench_snapshot -- \
-//!     --out BENCH_<pr>.json [--quick] [--compare BENCH_18.json]
+//!     --out BENCH_<pr>.json [--quick] [--compare BENCH_25.json]
 //! ```
 //!
 //! `--out` is required, so a bare run never overwrites a committed
@@ -33,9 +34,10 @@
 //! anything that got more than 10% worse, so perf regressions stop hiding
 //! between PRs.
 
+use lad_bench::{paper_rounds, PaperRounds};
 use lad_core::engine::LadEngine;
 use lad_core::expected::rounded_expected;
-use lad_core::metrics::score_all_fused_sparse;
+use lad_core::metrics::{score_all_fused_sparse, ObsScratch};
 use lad_core::MetricKind;
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
 use lad_geometry::Point2;
@@ -159,6 +161,25 @@ struct ColdRound {
     mu_hit_rate: f64,
 }
 
+/// The serve shard's Diff kernel per report over the paper-scale pool
+/// (8 rounds × 512 distinct rows), once with every estimate memoized
+/// (`score_rows_seq_one_cached_into`, the serving shard's kernel) and once
+/// with the µ fill on every row (`score_rows_seq_one_into`). Unlike the
+/// `kernel_*_scale` loops, which score one row over and over, the rows
+/// differ, so the branch predictor cannot learn one row's shape.
+#[derive(Debug, Serialize)]
+struct ShardKernel {
+    /// Reports per timed pass over the pool.
+    reports_per_pass: usize,
+    /// Median ns per report of `score_rows_seq_one_cached_into` (Diff,
+    /// warm cache).
+    cached_ns_per_report: f64,
+    /// Median ns per report of `score_rows_seq_one_into` (Diff).
+    uncached_ns_per_report: f64,
+    /// µ-cache hit rate over the timed cached passes.
+    mu_hit_rate: f64,
+}
+
 /// One paced serve round on a single shard: `submit_rows` + `sync` of a
 /// paper-scale round after the shard has idled — the latency a caller that
 /// submits a round and waits for its decisions sees.
@@ -231,6 +252,7 @@ struct Snapshot {
     serve_cold_round: ColdRound,
     serve_paced_sync: PacedSync,
     mu_fill_paper_scale: MuFill,
+    shard_kernel: ShardKernel,
 }
 
 /// Timing knobs: `--quick` shrinks every window so CI finishes in seconds.
@@ -243,6 +265,7 @@ struct Effort {
     cold_rounds: usize,
     paced_rounds: usize,
     fill_passes: usize,
+    shard_passes: usize,
 }
 
 impl Effort {
@@ -255,6 +278,7 @@ impl Effort {
             cold_rounds: 400,
             paced_rounds: 400,
             fill_passes: 200,
+            shard_passes: 200,
         }
     }
 
@@ -267,6 +291,7 @@ impl Effort {
             cold_rounds: 64,
             paced_rounds: 100,
             fill_passes: 20,
+            shard_passes: 20,
         }
     }
 }
@@ -302,16 +327,17 @@ fn kernel_scale(effort: Effort, cfg: &DeploymentConfig, at: Point2, obs_at: Poin
             .map(|kind| kind.score(black_box(&obs), &dense, cfg.group_size))
             .sum::<f64>()
     });
+    let mut obs_scratch = ObsScratch::new();
     let sparse_ns = time_ns(effort, || {
         knowledge.expected_sparse_into(black_box(at), &mut smu);
-        score_all_fused_sparse(black_box(batch.row(0)), smu.view())[0]
+        score_all_fused_sparse(black_box(batch.row(0)), smu.view(), &mut obs_scratch)[0]
     });
     // The memoized hot path: after the first fill every iteration is a
     // cache hit — exactly what a serve shard pays on a repeated estimate.
     let mut cache = MuCache::new(64);
     let cached_ns = time_ns(effort, || {
         let cached = knowledge.expected_sparse_cached(black_box(at), &mut cache);
-        score_all_fused_sparse(black_box(batch.row(0)), cached)[0]
+        score_all_fused_sparse(black_box(batch.row(0)), cached, &mut obs_scratch)[0]
     });
     KernelScale {
         groups: knowledge.group_count(),
@@ -532,48 +558,6 @@ fn wire_run(policy: OverloadPolicy, passes: u64) -> (f64, u64, u64, Vec<StageSum
     (rate, accepted, offered, stages)
 }
 
-/// Clean paper-scale traffic: the engine, a calibrated single-metric
-/// detector, and an 8-round pool of rounds from 512 reporters spread
-/// evenly over the network.
-struct PaperRounds {
-    engine: Arc<LadEngine>,
-    detector: SequentialDetector,
-    rounds: Vec<(Vec<NodeId>, ObservationBatch)>,
-}
-
-fn paper_rounds() -> PaperRounds {
-    const REPORTERS: usize = 512;
-    let engine = Arc::new(
-        LadEngine::builder()
-            .deployment(&DeploymentConfig::paper_default())
-            .metrics(&MetricKind::ALL)
-            .score_only()
-            .build()
-            .expect("paper-scale engine builds"),
-    );
-    let network = Network::generate(engine.knowledge().clone(), 0xC01D);
-    let stride = network.node_count() / REPORTERS;
-    let nodes: Vec<NodeId> = (0..REPORTERS)
-        .map(|i| NodeId((i * stride) as u32))
-        .collect();
-    let traffic = TrafficModel::clean(&network, &engine, nodes, 0x7A5E);
-    let streams = traffic.score_streams(&network, &engine, MetricKind::Diff, 0..4);
-    let detector = SequentialDetector::calibrate_cusum(streams.iter().map(Vec::as_slice), 0.01);
-    let rounds = (0..8u64)
-        .map(|r| {
-            let mut nodes = Vec::new();
-            let mut rows = ObservationBatch::new(engine.knowledge().group_count());
-            traffic.round_rows(&network, r, &mut nodes, &mut rows);
-            (nodes, rows)
-        })
-        .collect();
-    PaperRounds {
-        engine,
-        detector,
-        rounds,
-    }
-}
-
 /// Measures [`ColdRound`]: an 8-round pool of clean paper-scale traffic is
 /// scored once to memoize its estimates, then each timed repetition
 /// sweeps 8 MiB, copies the next round and scores it cold, then warm.
@@ -753,6 +737,67 @@ fn mu_fill_paper_scale(effort: Effort) -> MuFill {
     }
 }
 
+/// Measures [`ShardKernel`]: one untimed pass memoizes the pool's
+/// estimates, then each timed pass scores every round through both
+/// kernels, in an order that alternates between passes; each figure is the
+/// median over passes.
+fn shard_kernel(effort: Effort) -> ShardKernel {
+    let PaperRounds { engine, rounds, .. } = paper_rounds();
+    let rounds: Vec<ObservationBatch> = rounds.into_iter().map(|(_, rows)| rows).collect();
+    let reports: usize = rounds.iter().map(ObservationBatch::len).sum();
+    // `ServeConfig`'s default capacity.
+    let mut cache = MuCache::new(16_384);
+    let mut scores = Vec::new();
+    let mut pass_ns = |cache: Option<&mut MuCache>| {
+        let t0 = Instant::now();
+        match cache {
+            Some(cache) => {
+                for rows in &rounds {
+                    scores.resize(rows.len(), 0.0);
+                    engine.score_rows_seq_one_cached_into(
+                        rows,
+                        MetricKind::Diff,
+                        cache,
+                        &mut scores,
+                    );
+                    black_box(&scores);
+                }
+            }
+            None => {
+                for rows in &rounds {
+                    scores.resize(rows.len(), 0.0);
+                    engine.score_rows_seq_one_into(rows, MetricKind::Diff, &mut scores);
+                    black_box(&scores);
+                }
+            }
+        }
+        t0.elapsed().as_nanos() as f64 / reports as f64
+    };
+    pass_ns(Some(&mut cache));
+    cache.take_stats();
+    let (mut cached, mut uncached) = (Vec::new(), Vec::new());
+    for pass in 0..effort.shard_passes {
+        if pass % 2 == 0 {
+            cached.push(pass_ns(Some(&mut cache)));
+            uncached.push(pass_ns(None));
+        } else {
+            uncached.push(pass_ns(None));
+            cached.push(pass_ns(Some(&mut cache)));
+        }
+    }
+    let (hits, misses) = cache.take_stats();
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    ShardKernel {
+        reports_per_pass: reports,
+        cached_ns_per_report: median(cached),
+        uncached_ns_per_report: median(uncached),
+        mu_hit_rate: hits as f64 / (hits + misses) as f64,
+    }
+}
+
 /// A numeric metric extracted from a snapshot for `--compare`: name,
 /// value, and whether larger is better (throughput) or worse (ns, ratio).
 struct Metric {
@@ -838,6 +883,16 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
         Metric::new(
             "mu_fill_paper_scale.map_dispatched_ns",
             snap.mu_fill_paper_scale.map_dispatched_ns,
+            false,
+        ),
+        Metric::new(
+            "shard_kernel.cached_ns_per_report",
+            snap.shard_kernel.cached_ns_per_report,
+            false,
+        ),
+        Metric::new(
+            "shard_kernel.uncached_ns_per_report",
+            snap.shard_kernel.uncached_ns_per_report,
             false,
         ),
     ];
@@ -1084,6 +1139,7 @@ fn main() {
         serve_cold_round: serve_cold_round(effort),
         serve_paced_sync: serve_paced_sync(effort),
         mu_fill_paper_scale: mu_fill_paper_scale(effort),
+        shard_kernel: shard_kernel(effort),
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&out, format!("{json}\n")).expect("snapshot written");

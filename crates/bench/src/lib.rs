@@ -7,9 +7,14 @@
 //! point is simulated once per bench process.
 
 use lad_attack::AttackClass;
+use lad_core::engine::LadEngine;
 use lad_core::MetricKind;
+use lad_deployment::DeploymentConfig;
 use lad_eval::scenario::{ParamGrid, ScenarioSpec, Substrate, SubstrateCache};
 use lad_eval::EvalConfig;
+use lad_net::{Network, NodeId, ObservationBatch};
+use lad_serve::TrafficModel;
+use lad_stats::SequentialDetector;
 use std::sync::Arc;
 
 /// The reduced evaluation configuration every figure bench uses.
@@ -63,6 +68,53 @@ pub fn idle_response_filter() -> lad_serve::ResponseFilter {
             Circle::new(Point2::new(9_000.0, 9_000.0), 80.0),
         ],
     )
+}
+
+/// Clean paper-scale traffic: the engine, a calibrated single-metric
+/// detector, and an 8-round pool of rounds from 512 reporters spread
+/// evenly over the network (4096 distinct rows). Shared by the `kernels`
+/// bench and the `bench_snapshot` binary.
+pub struct PaperRounds {
+    /// A score-only paper-scale engine with all three metrics.
+    pub engine: Arc<LadEngine>,
+    /// CUSUM on Diff, calibrated to a 1% false-alarm rate.
+    pub detector: SequentialDetector,
+    /// The pool: each round's reporter ids and CSR rows.
+    pub rounds: Vec<(Vec<NodeId>, ObservationBatch)>,
+}
+
+/// Builds the [`PaperRounds`] pool (deterministic in fixed seeds).
+pub fn paper_rounds() -> PaperRounds {
+    const REPORTERS: usize = 512;
+    let engine = Arc::new(
+        LadEngine::builder()
+            .deployment(&DeploymentConfig::paper_default())
+            .metrics(&MetricKind::ALL)
+            .score_only()
+            .build()
+            .expect("paper-scale engine builds"),
+    );
+    let network = Network::generate(engine.knowledge().clone(), 0xC01D);
+    let stride = network.node_count() / REPORTERS;
+    let nodes: Vec<NodeId> = (0..REPORTERS)
+        .map(|i| NodeId((i * stride) as u32))
+        .collect();
+    let traffic = TrafficModel::clean(&network, &engine, nodes, 0x7A5E);
+    let streams = traffic.score_streams(&network, &engine, MetricKind::Diff, 0..4);
+    let detector = SequentialDetector::calibrate_cusum(streams.iter().map(Vec::as_slice), 0.01);
+    let rounds = (0..8u64)
+        .map(|r| {
+            let mut nodes = Vec::new();
+            let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+            traffic.round_rows(&network, r, &mut nodes, &mut rows);
+            (nodes, rows)
+        })
+        .collect();
+    PaperRounds {
+        engine,
+        detector,
+        rounds,
+    }
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@
 //! assert_eq!(verdicts[0].verdicts.len(), 3); // one per configured metric
 //! ```
 
-use crate::metrics::MetricKind;
+use crate::metrics::{MetricKind, ObsScratch};
 use crate::threshold::TrainedThresholds;
 use crate::training::{Trainer, TrainingConfig};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, MuView, SparseMu};
@@ -63,7 +63,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The artifact format version this build writes and reads.
 pub const ARTIFACT_VERSION: u32 = 1;
@@ -312,11 +312,20 @@ impl LadEngineBuilder {
     }
 }
 
+/// Per-thread row-scoring scratch: the sparse µ fill target the uncached
+/// paths fill once per row and hand to every metric, and the dense
+/// observation every kernel walks its row through.
+#[derive(Default)]
+struct RowScratch {
+    mu: SparseMu,
+    obs: ObsScratch,
+}
+
 thread_local! {
-    /// Per-thread sparse µ fill target: the row-scoring paths fill it once
-    /// per row and hand it to every metric, so they perform no allocation
-    /// after each worker thread's first row.
-    static MU_SCRATCH: RefCell<SparseMu> = RefCell::new(SparseMu::default());
+    /// Borrowed once per batch (or per worker chunk), so the row loops
+    /// make no per-row thread-local lookup and, after each thread's first
+    /// batch, no allocation.
+    static ROW_SCRATCH: RefCell<RowScratch> = RefCell::new(RowScratch::default());
 }
 
 /// The batched, versioned LAD detection engine.
@@ -513,10 +522,11 @@ impl LadEngine {
     ///
     /// The batch stores only observation nonzeros (no per-report
     /// `Observation` heap objects), the expected observation is enumerated
-    /// over its O(k) support, and the fused kernel merges the two sparse
-    /// sides directly. Scores are bit-identical to the dense metric kernels
+    /// over its O(k) support, and the fused kernel walks that support
+    /// against the row through a dense observation scratch. Scores are
+    /// bit-identical to the dense metric kernels
     /// (`tests/sparse_exactness.rs`). The work fans out over Rayon in
-    /// chunks, each worker borrowing its thread's µ scratch once and
+    /// chunks, each worker borrowing its thread's row scratch once and
     /// writing its chunk's disjoint output range in place.
     ///
     /// # Panics
@@ -541,11 +551,11 @@ impl LadEngine {
         out: &mut [f64],
     ) {
         let width = self.check_scoring(batch, range.len(), None, out.len());
-        MU_SCRATCH.with(|cell| {
-            let smu = &mut *cell.borrow_mut();
+        ROW_SCRATCH.with(|cell| {
+            let RowScratch { mu, obs } = &mut *cell.borrow_mut();
             for (r, row_out) in range.zip(out.chunks_exact_mut(width)) {
-                self.knowledge.expected_sparse_into(batch.estimate(r), smu);
-                self.score_row_into(batch.row(r), smu.view(), row_out);
+                self.knowledge.expected_sparse_into(batch.estimate(r), mu);
+                self.score_row_into(batch.row(r), mu.view(), obs, row_out);
             }
         });
     }
@@ -574,22 +584,32 @@ impl LadEngine {
         out: &mut [f64],
     ) {
         let width = self.check_scoring(batch, batch.len(), None, out.len());
-        self.knowledge
-            .for_each_mu_cached(batch.as_csr().estimates, cache, |r, mu| {
-                self.score_row_into(batch.row(r), mu, &mut out[r * width..(r + 1) * width]);
-            });
+        ROW_SCRATCH.with(|cell| {
+            let obs = &mut cell.borrow_mut().obs;
+            self.knowledge
+                .for_each_mu_cached(batch.as_csr().estimates, cache, |r, mu| {
+                    let row_out = &mut out[r * width..(r + 1) * width];
+                    self.score_row_into(batch.row(r), mu, obs, row_out);
+                });
+        });
     }
 
     /// Scores one CSR row against a sparse µ with every configured metric
     /// into `out` — the fused kernel when the metrics are exactly
     /// [`MetricKind::ALL`], one sparse kernel per metric otherwise.
     #[inline]
-    fn score_row_into(&self, row: ObsRow<'_>, mu: MuView<'_>, out: &mut [f64]) {
+    fn score_row_into(
+        &self,
+        row: ObsRow<'_>,
+        mu: MuView<'_>,
+        obs: &mut ObsScratch,
+        out: &mut [f64],
+    ) {
         if self.fused {
-            out.copy_from_slice(&crate::metrics::score_all_fused_sparse(row, mu));
+            out.copy_from_slice(&crate::metrics::score_all_fused_sparse(row, mu, obs));
         } else {
             for (slot, &metric) in out.iter_mut().zip(&self.artifact.metrics) {
-                *slot = metric.score_sparse(row, mu);
+                *slot = metric.score_sparse(row, mu, obs);
             }
         }
     }
@@ -650,11 +670,11 @@ impl LadEngine {
         out: &mut [f64],
     ) {
         self.check_scoring(batch, batch.len(), Some(metric), out.len());
-        MU_SCRATCH.with(|cell| {
-            let smu = &mut *cell.borrow_mut();
+        ROW_SCRATCH.with(|cell| {
+            let RowScratch { mu, obs } = &mut *cell.borrow_mut();
             for (r, slot) in out.iter_mut().enumerate() {
-                self.knowledge.expected_sparse_into(batch.estimate(r), smu);
-                *slot = metric.score_sparse(batch.row(r), smu.view());
+                self.knowledge.expected_sparse_into(batch.estimate(r), mu);
+                *slot = metric.score_sparse(batch.row(r), mu.view(), obs);
             }
         });
     }
@@ -676,10 +696,13 @@ impl LadEngine {
         out: &mut [f64],
     ) {
         self.check_scoring(batch, batch.len(), Some(metric), out.len());
-        self.knowledge
-            .for_each_mu_cached(batch.as_csr().estimates, cache, |r, mu| {
-                out[r] = metric.score_sparse(batch.row(r), mu);
-            });
+        ROW_SCRATCH.with(|cell| {
+            let obs = &mut cell.borrow_mut().obs;
+            self.knowledge
+                .for_each_mu_cached(batch.as_csr().estimates, cache, |r, mu| {
+                    out[r] = metric.score_sparse(batch.row(r), mu, obs);
+                });
+        });
     }
 
     /// Upper bound on the number of rows each worker-thread chunk
@@ -691,9 +714,14 @@ impl LadEngine {
     /// machine), capped at [`Self::MAX_BATCH_CHUNK`] so per-chunk scratch
     /// amortisation stays effective on huge batches.
     fn batch_chunk_size(len: usize) -> usize {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        // `available_parallelism` reads the cgroup files on every call
+        // (~12 µs each on a 2-vCPU Linux VM), so it is read once per process.
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        let threads = *THREADS.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
         len.div_ceil(threads * 4).clamp(1, Self::MAX_BATCH_CHUNK)
     }
 

@@ -9,6 +9,21 @@
 //! metrics already have that orientation; the probability metric (where
 //! *small* likelihood means anomaly) is mapped to a score by negating the
 //! log of the smallest per-group likelihood.
+//!
+//! # The sparse walk
+//!
+//! Every sparse kernel visits `(o_i, µ_i)` over `support(µ) ∪ nonzero(o)`
+//! in ascending group order. It does so through a caller-owned
+//! [`ObsScratch`]: the row's nonzero counts are scattered into a dense
+//! per-group array, µ's support is walked reading `o_i` from that array,
+//! and the row's slots are cleared again. The walk counts the nonzero
+//! entries it met; when that count equals the row's, every observed group
+//! lies inside the support, so the walk visited exactly the groups the
+//! sorted merge of the two sides would, in the same order and with the same
+//! `o as f64` operands — the same bits. Otherwise (an observed group outside
+//! the support, including every nonempty row against an empty support) the
+//! row is scored again by that merge. The walk has no data-dependent branch,
+//! where the merge's `o_g < g` / `o_g == g` tests mispredict.
 
 use lad_deployment::MuView;
 use lad_net::{ObsRow, Observation};
@@ -70,26 +85,58 @@ impl MetricKind {
 
     /// Scores a sparse batch row against a sparse expected observation in
     /// O(k + nnz) — k support groups plus the observation's nonzeros —
-    /// instead of O(n).
+    /// instead of O(n). `scratch` is the dense observation the row is
+    /// walked through (see the [module docs](self)); it is all zero again
+    /// on return.
     ///
     /// Bit-identical to densifying both sides and calling [`Self::score`]:
     /// groups outside `support ∪ nonzero(o)` contribute exactly
     /// `|0 − 0.0| = max(0, 0.0) = 0.0` to Diff/Add-all and are skipped by
     /// the probability min (see [`score_all_fused_sparse`]).
-    pub fn score_sparse(self, row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
+    pub fn score_sparse(self, row: ObsRow<'_>, mu: MuView<'_>, scratch: &mut ObsScratch) -> f64 {
         match self {
             MetricKind::Diff => {
-                let mut dm = 0.0f64;
-                for_each_scored_group(row, mu, |o, mui| dm += (o as f64 - mui).abs());
-                dm
+                fold_scored_groups(row, mu, &mut scratch.counts, 0.0f64, |dm, o, mui| {
+                    dm + (o as f64 - mui).abs()
+                })
             }
             MetricKind::AddAll => {
-                let mut am = 0.0f64;
-                for_each_scored_group(row, mu, |o, mui| am += (o as f64).max(mui));
-                am
+                fold_scored_groups(row, mu, &mut scratch.counts, 0.0f64, |am, o, mui| {
+                    am + (o as f64).max(mui)
+                })
             }
-            MetricKind::Probability => (-min_ln_probability_sparse(row, mu)).min(NEG_LN_FLOOR),
+            MetricKind::Probability => {
+                (-min_ln_probability_sparse(row, mu, scratch)).min(NEG_LN_FLOOR)
+            }
         }
+    }
+}
+
+/// The dense observation scratch every sparse kernel walks a row through:
+/// one count slot per deployment group, **all zero between rows**.
+///
+/// A kernel scatters the row's nonzero counts into it, reads them back
+/// while walking µ's support, and clears exactly the slots it wrote, so one
+/// scratch serves any number of rows with no allocation and no O(n) reset.
+/// It grows on first use to the row's group count.
+#[derive(Debug, Clone, Default)]
+pub struct ObsScratch {
+    counts: Vec<u32>,
+    /// The fused kernel's µ of each observed group, in row order (0.0
+    /// outside the support); overwritten by every row, never read across
+    /// rows.
+    observed_mu: Vec<f64>,
+}
+
+impl ObsScratch {
+    /// An empty scratch; it grows to the group count of the first row.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// True when every slot is zero — the state every kernel leaves it in.
+    pub fn is_clear(&self) -> bool {
+        self.counts.iter().all(|&c| c == 0)
     }
 }
 
@@ -130,57 +177,112 @@ fn min_ln_probability(obs: &Observation, mu: &[f64], group_size: usize) -> f64 {
 /// the dense kernel's zero-p guard skips anyway (`Pr = 1` can never be the
 /// minimum), so the min ranges over the identical set of evaluations and
 /// the result is bit-identical.
-fn min_ln_probability_sparse(row: ObsRow<'_>, mu: MuView<'_>) -> f64 {
+fn min_ln_probability_sparse(row: ObsRow<'_>, mu: MuView<'_>, scratch: &mut ObsScratch) -> f64 {
     let pmf = TabledLnPmf::new(mu.group_size());
-    let mut min_ln_p = 0.0f64;
-    let mut zero_obs = ZeroObsMin::new();
-    for_each_scored_group(row, mu, |o, mui| {
-        if o == 0 {
-            zero_obs.see(mui);
-            return;
-        }
-        let ln_p = pmf.eval(o, mui);
-        if ln_p < min_ln_p {
-            min_ln_p = ln_p;
-        }
-    });
+    let (min_ln_p, zero_obs) = fold_scored_groups(
+        row,
+        mu,
+        &mut scratch.counts,
+        (0.0f64, ZeroObsMin::new()),
+        |(min_ln_p, mut zero_obs), o, mui| {
+            if o == 0 {
+                zero_obs.see(mui);
+                return (min_ln_p, zero_obs);
+            }
+            let ln_p = pmf.eval(o, mui);
+            (if ln_p < min_ln_p { ln_p } else { min_ln_p }, zero_obs)
+        },
+    );
     zero_obs.fold_into(&pmf, min_ln_p)
 }
 
-/// Visits `(o_i, µ_i)` for every group in `support(µ) ∪ nonzero(o)`, in
-/// ascending group order, given a **sparse** observation row.
+/// Folds `f` over `(o_i, µ_i)` for every group in `support(µ) ∪ nonzero(o)`,
+/// in ascending group order, given a **sparse** observation row — the
+/// iteration pattern every sparse kernel shares.
 ///
-/// This is the iteration pattern the per-metric sparse kernels share. Every
-/// group it skips has `o_i = 0` and `µ_i = 0.0` exactly, so a sum of
+/// Every group it skips has `o_i = 0` and `µ_i = 0.0` exactly, so a sum of
 /// non-negative per-group terms that are zero at `(0, 0.0)` — the Diff and
 /// Add-all metrics — accumulates the *same bits* as the dense pass over all
 /// `n` groups (adding `+0.0` to a non-negative IEEE accumulator is the
 /// identity), and a min over per-group likelihoods skips exactly the groups
 /// the dense kernel's `(o, µ) = (0, 0)` guard skips.
-#[inline]
-fn for_each_scored_group<F: FnMut(u32, f64)>(row: ObsRow<'_>, mu: MuView<'_>, mut f: F) {
+///
+/// The dense walk: the row's counts are scattered into `dense` (an
+/// [`ObsScratch`]'s all-zero count slots), µ's support is walked reading
+/// `o_i = dense[g]`, and the row's slots are cleared. Each nonzero
+/// `dense[g]` the walk meets is a row entry inside the support; when it
+/// meets all of the row's entries, `support(µ) ∪ nonzero(o)` is just the
+/// support, so the walk made the merge's exact calls of `f` in the merge's
+/// order and its result is the merge's, bit for bit. When it met fewer, the walk's result is discarded and the row is
+/// folded again by [`merge_scored_groups`] from `init`. Indexing is
+/// bounds-checked: a row whose groups exceed its group count panics.
+#[inline(always)]
+fn fold_scored_groups<S: Copy>(
+    row: ObsRow<'_>,
+    mu: MuView<'_>,
+    dense: &mut Vec<u32>,
+    init: S,
+    mut f: impl FnMut(S, u32, f64) -> S,
+) -> S {
     debug_assert_eq!(
         row.group_count,
         mu.group_count(),
         "observation/expectation group-count mismatch"
     );
+    if dense.len() < row.group_count {
+        dense.resize(row.group_count, 0);
+    }
+    for (&g, &c) in row.groups.iter().zip(row.counts) {
+        dense[g as usize] = c;
+    }
+    let (sg, sv) = support(mu);
+    let mut met = 0usize;
+    let mut acc = init;
+    for (&g, &mui) in sg.iter().zip(sv) {
+        let o = dense[g as usize];
+        met += usize::from(o != 0);
+        acc = f(acc, o, mui);
+    }
+    for &g in row.groups {
+        dense[g as usize] = 0;
+    }
+    if met == row.groups.len() {
+        acc
+    } else {
+        merge_scored_groups(row, mu, init, f)
+    }
+}
+
+/// The sorted merge of `support(µ) ∪ nonzero(o)` — [`fold_scored_groups`]'
+/// fallback for rows that observe a group outside µ's support.
+#[cold]
+fn merge_scored_groups<S>(
+    row: ObsRow<'_>,
+    mu: MuView<'_>,
+    init: S,
+    mut f: impl FnMut(S, u32, f64) -> S,
+) -> S {
+    let (sg, sv) = support(mu);
+    let (og, oc) = (row.groups, row.counts);
+    let mut acc = init;
     let mut oi = 0usize;
-    for (&g, &mui) in mu.groups().iter().zip(mu.values()) {
-        while oi < row.groups.len() && row.groups[oi] < g {
-            f(row.counts[oi], 0.0);
+    for (&g, &mui) in sg.iter().zip(sv) {
+        while oi < og.len() && og[oi] < g {
+            acc = f(acc, oc[oi], 0.0);
             oi += 1;
         }
-        if oi < row.groups.len() && row.groups[oi] == g {
-            f(row.counts[oi], mui);
+        if oi < og.len() && og[oi] == g {
+            acc = f(acc, oc[oi], mui);
             oi += 1;
         } else {
-            f(0, mui);
+            acc = f(acc, 0, mui);
         }
     }
-    while oi < row.groups.len() {
-        f(row.counts[oi], 0.0);
+    while oi < og.len() {
+        acc = f(acc, oc[oi], 0.0);
         oi += 1;
     }
+    acc
 }
 
 /// Score cap of the probability metric: `−ln(1e-300)`, i.e. the minimum
@@ -200,6 +302,7 @@ const NEG_LN_FLOOR: f64 = 690.775_527_898_213_7;
 /// the largest µ. Every kernel (dense, fused, sparse) routes its
 /// zero-observation groups through this same reduction, so their scores are
 /// identical bit for bit by construction.
+#[derive(Clone, Copy)]
 struct ZeroObsMin {
     max_mu: f64,
 }
@@ -295,7 +398,9 @@ fn support(mu: MuView<'_>) -> (&[u32], &[f64]) {
 
 /// All three paper metrics in one **O(k + nnz)** pass over a sparse batch
 /// row and a sparse expected observation — the serving hot path's kernel.
-/// Returns `[DM, AM, −ln min Pr]` in [`MetricKind::ALL`] order.
+/// Returns `[DM, AM, −ln min Pr]` in [`MetricKind::ALL`] order. `scratch`
+/// is the dense observation the Diff/Add-all pass walks the row through
+/// (see the [module docs](self)); it is all zero again on return.
 ///
 /// Only the µ support (`k` groups within the g(z) tail `z_max` of the
 /// estimate) and the observation's nonzeros are visited; every skipped
@@ -306,66 +411,49 @@ fn support(mu: MuView<'_>) -> (&[u32], &[f64]) {
 /// over the densified inputs (same accumulation order per metric) —
 /// asserted by proptest in `tests/sparse_exactness.rs` — while the work no
 /// longer scales with the group count `n`.
-pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: MuView<'_>) -> [f64; 3] {
-    // Two specialised passes instead of one merged accumulator: the first
-    // carries only cheap float ops (predictable, small loop body), the
-    // second carries the expensive pmf evaluations over exactly the groups
-    // that need one — `nnz(o)` full evaluations plus the single deferred
-    // zero-observation one. Merging them into one loop triples the inlined
-    // pmf call sites and measurably slows the merge.
-    let (sg, sv) = support(mu);
-    let (og, oc) = (row.groups, row.counts);
-
+pub fn score_all_fused_sparse(
+    row: ObsRow<'_>,
+    mu: MuView<'_>,
+    scratch: &mut ObsScratch,
+) -> [f64; 3] {
+    // Two passes: the first carries only cheap float ops (a small loop
+    // body), the second the expensive pmf evaluations over exactly the
+    // groups that need one — `nnz(o)` full evaluations plus the single
+    // deferred zero-observation one.
+    //
     // Pass 1 — Diff/Add-all over `support ∪ nonzero(o)` in ascending group
-    // order, plus the largest zero-observation µ. For groups outside the
-    // support, `(o − 0.0).abs()` and `o.max(0.0)` are exactly `o as f64`.
-    let mut dm = 0.0f64;
-    let mut am = 0.0f64;
-    let mut zero_obs = ZeroObsMin::new();
-    let mut oi = 0usize;
-    for (&g, &mui) in sg.iter().zip(sv) {
-        while oi < og.len() && og[oi] < g {
-            let of = oc[oi] as f64;
-            dm += of;
-            am += of;
-            oi += 1;
-        }
-        let o = if oi < og.len() && og[oi] == g {
-            let c = oc[oi];
-            oi += 1;
-            c
-        } else {
-            0
-        };
-        let of = o as f64;
-        dm += (of - mui).abs();
-        am += of.max(mui);
-        if o == 0 {
-            zero_obs.see(mui);
-        }
+    // order, plus the largest zero-observation µ. Each visited group's µ is
+    // also stored at the count of nonzero groups visited before it, so the
+    // observed groups' µ (0.0 outside the support) end up compacted in row
+    // order; the stores at zero-observation groups are overwritten.
+    let ObsScratch {
+        counts,
+        observed_mu,
+    } = scratch;
+    if observed_mu.len() <= row.group_count {
+        observed_mu.resize(row.group_count + 1, 0.0);
     }
-    while oi < og.len() {
-        let of = oc[oi] as f64;
-        dm += of;
-        am += of;
-        oi += 1;
-    }
+    let (dm, am, zero_obs, _) = fold_scored_groups(
+        row,
+        mu,
+        counts,
+        (0.0f64, 0.0f64, ZeroObsMin::new(), 0usize),
+        |(dm, am, mut zero_obs, observed), o, mui| {
+            observed_mu[observed] = mui;
+            let of = o as f64;
+            // `see(0.0)` never moves the max (it starts at 0.0), so
+            // observed groups can pass it without a data-dependent branch.
+            zero_obs.see(if o == 0 { mui } else { 0.0 });
+            let observed = observed + usize::from(o != 0);
+            (dm + (of - mui).abs(), am + of.max(mui), zero_obs, observed)
+        },
+    );
 
     // Pass 2 — probability: one full pmf evaluation per observation
-    // nonzero (µ looked up by a second merge walk; 0.0 when the group is
-    // outside the support), then the deferred zero-observation evaluation.
+    // nonzero, in row order, then the deferred zero-observation evaluation.
     let pmf = TabledLnPmf::new(mu.group_size());
     let mut min_ln_p = 0.0f64;
-    let mut si = 0usize;
-    for (&g, &o) in og.iter().zip(oc) {
-        while si < sg.len() && sg[si] < g {
-            si += 1;
-        }
-        let mui = if si < sg.len() && sg[si] == g {
-            sv[si]
-        } else {
-            0.0
-        };
+    for (&o, &mui) in row.counts.iter().zip(observed_mu.iter()) {
         let ln_p = pmf.eval(o, mui);
         if ln_p < min_ln_p {
             min_ln_p = ln_p;
@@ -485,6 +573,7 @@ mod tests {
         let k = DeploymentKnowledge::from_config(&DeploymentConfig::small_test());
         let (n, m) = (k.group_count(), k.group_size());
         let mut smu = lad_deployment::SparseMu::new();
+        let mut scratch = ObsScratch::new();
         for obs in [
             Observation::zeros(n),
             Observation::from_counts(vec![m as u32; n]),
@@ -495,7 +584,7 @@ mod tests {
                 batch.push(&obs, at);
                 k.expected_sparse_into(at, &mut smu);
                 let dense = min_ln_probability(&obs, &k.expected_observation(at), m);
-                let sparse = min_ln_probability_sparse(batch.row(0), smu.view());
+                let sparse = min_ln_probability_sparse(batch.row(0), smu.view(), &mut scratch);
                 assert_eq!(dense.to_bits(), sparse.to_bits(), "{dense} vs {sparse}");
             }
         }

@@ -13,7 +13,7 @@
 //! the master seed); [`TrainedThresholds`] implements step 4 lazily so τ can
 //! be swept without retraining.
 
-use crate::metrics::{score_all_fused_sparse, MetricKind};
+use crate::metrics::{score_all_fused_sparse, MetricKind, ObsScratch};
 use crate::threshold::TrainedThresholds;
 use lad_deployment::{DeploymentKnowledge, SparseMu};
 use lad_localization::BeaconlessMle;
@@ -26,11 +26,13 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Per-thread training-sample scoring scratch: the sparse µ(L_e) fill
-/// target and the one-row batch the sample's observation is copied into.
+/// target, the one-row batch the sample's observation is copied into, and
+/// the dense observation the fused pass walks that row through.
 #[derive(Default)]
 struct SampleScratch {
     mu: SparseMu,
     row: ObservationBatch,
+    obs: ObsScratch,
 }
 
 thread_local! {
@@ -143,7 +145,7 @@ fn sample_node(
     scratch.row.reset(knowledge.group_count());
     scratch.row.push(&obs, estimate);
     knowledge.expected_sparse_into(estimate, &mut scratch.mu);
-    let scores = score_all_fused_sparse(scratch.row.row(0), scratch.mu.view());
+    let scores = score_all_fused_sparse(scratch.row.row(0), scratch.mu.view(), &mut scratch.obs);
     Some(TrainingSample {
         scores,
         localization_error: estimate.distance(network.node(id).resident_point),

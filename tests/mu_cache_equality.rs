@@ -10,7 +10,7 @@
 //! only a hint: it equals a row-at-a-time loop in every bit and every
 //! replacement decision.
 
-use lad_core::metrics::score_all_fused_sparse;
+use lad_core::metrics::{score_all_fused_sparse, ObsScratch};
 use lad_core::{LadEngine, MetricKind};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
 use lad_geometry::Point2;
@@ -256,7 +256,7 @@ fn row_bits(rows: &ObservationBatch, r: usize, mu: lad_deployment::MuView<'_>) -
     (
         mu.groups().to_vec(),
         mu.values().iter().map(|v| v.to_bits()).collect(),
-        score_all_fused_sparse(rows.row(r), mu).map(f64::to_bits),
+        score_all_fused_sparse(rows.row(r), mu, &mut ObsScratch::new()).map(f64::to_bits),
     )
 }
 

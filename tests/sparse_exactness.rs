@@ -4,14 +4,17 @@
 //! set, same µ values, same scores — over random deployments, corner and
 //! out-of-area estimates, and zero / random / saturated observations, for
 //! all three metrics' sparse kernels, the fused kernel and every engine
-//! entry point.
+//! entry point — on rows the kernels score by walking µ's support over a
+//! dense observation scratch and on rows that fall back to the sorted merge.
 
-use lad_core::metrics::score_all_fused_sparse;
+use lad_core::metrics::{score_all_fused_sparse, ObsScratch};
 use lad_core::{LadEngine, MetricKind};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
 use lad_geometry::Point2;
 use lad_net::{Observation, ObservationBatch};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// A small random-but-valid deployment configuration. Grids and ω are kept
 /// small so each case's g(z) quadrature stays cheap.
@@ -72,12 +75,84 @@ fn check_point(knowledge: &DeploymentKnowledge, obs: &Observation, theta: Point2
 
     // The per-metric sparse kernels and the fused pass, each against the
     // dense per-metric reference.
-    let fused = score_all_fused_sparse(row, mu);
+    let mut scratch = ObsScratch::new();
+    let fused = score_all_fused_sparse(row, mu, &mut scratch);
     for (i, kind) in MetricKind::ALL.into_iter().enumerate() {
         let dense = kind.score(obs, &dense_mu, m);
-        assert_bits(dense, kind.score_sparse(row, mu), kind.name());
+        assert_bits(dense, kind.score_sparse(row, mu, &mut scratch), kind.name());
         assert_bits(dense, fused[i], "fused sparse row");
     }
+    assert!(scratch.is_clear(), "scratch left dirty at {theta:?}");
+}
+
+/// The row shapes [`prop_dense_walk_and_merge_fallback_match_the_dense_reference`]
+/// mixes into one batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// Counts only on support groups: scored by the dense walk.
+    InsideSupport,
+    /// Support counts plus one group outside the support: the merge.
+    OutsideGroup,
+    /// No counts at all.
+    Empty,
+    /// A NaN or ±1e300 estimate (empty support) under random counts.
+    EmptySupport,
+}
+
+const SHAPES: [Shape; 4] = [
+    Shape::InsideSupport,
+    Shape::OutsideGroup,
+    Shape::Empty,
+    Shape::EmptySupport,
+];
+
+/// Draws one row of `shape` over `knowledge`: its estimate and dense counts.
+fn shaped_row(
+    knowledge: &DeploymentKnowledge,
+    shape: Shape,
+    rng: &mut ChaCha8Rng,
+) -> (Point2, Vec<u32>) {
+    let (n, m) = (knowledge.group_count(), knowledge.group_size() as u32);
+    let side = knowledge.config().area_side;
+    let theta = if shape == Shape::EmptySupport {
+        [
+            Point2::new(f64::NAN, side / 2.0),
+            Point2::new(1e300, side / 2.0),
+            Point2::new(side / 2.0, -1e300),
+        ][rng.gen_range(0..3usize)]
+    } else {
+        Point2::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side))
+    };
+    let mut smu = SparseMu::new();
+    knowledge.expected_sparse_into(theta, &mut smu);
+    let support = smu.view().groups();
+    let mut counts = vec![0u32; n];
+    match shape {
+        Shape::InsideSupport | Shape::OutsideGroup => {
+            for &g in support {
+                if rng.gen_range(0..3u32) > 0 {
+                    counts[g as usize] = rng.gen_range(1..=m);
+                }
+            }
+            if shape == Shape::OutsideGroup {
+                let outside: Vec<usize> =
+                    (0..n).filter(|&g| !support.contains(&(g as u32))).collect();
+                assert!(
+                    !outside.is_empty(),
+                    "support covers the deployment at {theta:?}"
+                );
+                counts[outside[rng.gen_range(0..outside.len())]] = rng.gen_range(1..=m);
+            }
+        }
+        Shape::Empty => {}
+        Shape::EmptySupport => {
+            assert!(support.is_empty(), "{theta:?} has a support");
+            for c in &mut counts {
+                *c = rng.gen_range(0..=m);
+            }
+        }
+    }
+    (theta, counts)
 }
 
 proptest! {
@@ -135,6 +210,91 @@ proptest! {
         ] {
             check_point(&knowledge, &obs, theta);
             check_point(&knowledge, &obs, far);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One batch mixing dense-walk rows, fallback rows (a group outside the
+    /// support), empty rows and empty-support rows, scored by every
+    /// kernel and engine entry point; every score must equal the dense
+    /// reference bit for bit, and the scratch must be clear after every
+    /// row. The deployment (600 m, 4×4 groups, z_max ≤ 280 m) always leaves
+    /// groups outside an in-area estimate's support.
+    #[test]
+    fn prop_dense_walk_and_merge_fallback_match_the_dense_reference(
+        sigma in 15.0f64..40.0,
+        m in 30usize..120,
+        rows in 4usize..40,
+        seed in 0u64..u64::MAX,
+    ) {
+        let engine = LadEngine::builder()
+            .deployment(&config(600.0, 4, 4, sigma, m, 32))
+            .metrics(&MetricKind::ALL)
+            .score_only()
+            .build()
+            .unwrap();
+        let knowledge = engine.knowledge().clone();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut batch = ObservationBatch::new(knowledge.group_count());
+        let mut want = Vec::new();
+        let mut smu = SparseMu::new();
+        for r in 0..rows {
+            // The first rows take each shape once, so every batch mixes all four.
+            let shape = SHAPES.get(r).copied().unwrap_or_else(|| SHAPES[rng.gen_range(0..4usize)]);
+            let (theta, counts) = shaped_row(&knowledge, shape, &mut rng);
+            let obs = Observation::from_counts(counts);
+            // The densified sparse µ: `expected_observation` itself maps a
+            // NaN estimate to NaN entries where the sparse fill's support is
+            // empty (for finite estimates the two are equal, see
+            // `check_point`).
+            knowledge.expected_sparse_into(theta, &mut smu);
+            let mu = smu.to_dense();
+            want.push(MetricKind::ALL.map(|kind| kind.score(&obs, &mu, m)));
+            batch.push(&obs, theta);
+        }
+
+        // The kernels, one scratch across the whole batch.
+        let mut scratch = ObsScratch::new();
+        for (r, want) in want.iter().enumerate() {
+            knowledge.expected_sparse_into(batch.estimate(r), &mut smu);
+            let fused = score_all_fused_sparse(batch.row(r), smu.view(), &mut scratch);
+            prop_assert!(scratch.is_clear(), "fused kernel left row {} dirty", r);
+            for (k, kind) in MetricKind::ALL.into_iter().enumerate() {
+                assert_bits(want[k], fused[k], &format!("fused row {r} {}", kind.name()));
+                let one = kind.score_sparse(batch.row(r), smu.view(), &mut scratch);
+                prop_assert!(scratch.is_clear(), "{} left row {} dirty", kind.name(), r);
+                assert_bits(want[k], one, &format!("score_sparse row {r} {}", kind.name()));
+            }
+        }
+
+        // The engine entry points: the fused pass, uncached and cached (a
+        // miss pass, then a hit pass), and each single-metric shard kernel.
+        let check = |scores: &[f64], width: usize, col: Option<usize>, what: &str| {
+            for (r, want) in want.iter().enumerate() {
+                for k in 0..width {
+                    let col = col.unwrap_or(k);
+                    assert_bits(want[col], scores[r * width + k], &format!("{what} row {r} col {col}"));
+                }
+            }
+        };
+        let mut flat = Vec::new();
+        engine.score_rows_into(&batch, &mut flat);
+        check(&flat, 3, None, "score_rows_into");
+        let mut cache = MuCache::new(64);
+        for pass in ["miss", "hit"] {
+            let mut cached = vec![f64::NAN; 3 * batch.len()];
+            engine.score_rows_seq_cached_into(&batch, &mut cache, &mut cached);
+            check(&cached, 3, None, &format!("score_rows_seq_cached_into {pass}"));
+        }
+        for (k, kind) in MetricKind::ALL.into_iter().enumerate() {
+            let mut one = vec![f64::NAN; batch.len()];
+            engine.score_rows_seq_one_into(&batch, kind, &mut one);
+            check(&one, 1, Some(k), &format!("score_rows_seq_one_into {}", kind.name()));
+            engine.score_rows_seq_one_cached_into(&batch, kind, &mut cache, &mut one);
+            check(&one, 1, Some(k), &format!("score_rows_seq_one_cached_into {}", kind.name()));
         }
     }
 }
