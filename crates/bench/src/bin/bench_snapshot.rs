@@ -16,13 +16,15 @@
 //! after the shard has idled for 2.5 ms), and the uncached µ fill (the
 //! scalar g(z) map vs the dispatched lane kernel over the same gathered
 //! d²), and the serve shard's Diff kernel per report over 4096 distinct
-//! rows, cached and uncached — and writes the numbers to a
+//! rows, cached and uncached, and the wire codec alone (encode and
+//! in-memory decode ns per report, frame bytes per report) over the same
+//! rows — and writes the numbers to a
 //! `BENCH_<pr>.json` at the repo root, so every PR leaves a comparable
 //! perf record behind.
 //!
 //! ```text
 //! cargo run --release -p lad_bench --bin bench_snapshot -- \
-//!     --out BENCH_<pr>.json [--quick] [--compare BENCH_25.json]
+//!     --out BENCH_<pr>.json [--quick] [--compare BENCH_26.json]
 //! ```
 //!
 //! `--out` is required, so a bare run never overwrites a committed
@@ -45,7 +47,10 @@ use lad_net::{Network, NodeId, ObservationBatch};
 use lad_serve::{DriftBaseline, DriftMonitorConfig, ServeConfig, ServeRuntime, TrafficModel};
 use lad_stats::SequentialDetector;
 use lad_telemetry::StageSummary;
-use lad_wire::{DeliveryStatus, OverloadPolicy, WireClient, WireServer, WireServerConfig};
+use lad_wire::{
+    encode_batch, DeliveryStatus, FramePoll, OverloadPolicy, WireClient, WireDecoder, WireServer,
+    WireServerConfig,
+};
 use serde::{Serialize, Value};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -180,6 +185,23 @@ struct ShardKernel {
     mu_hit_rate: f64,
 }
 
+/// The wire codec alone over the same paper-scale pool: `encode_batch`
+/// of every round into a reused buffer, then `WireDecoder::poll_frame` of
+/// the pool's frames from an in-memory cursor (no socket, no shard). The
+/// decoded last round is checked against its source.
+#[derive(Debug, Serialize)]
+struct WireCodec {
+    /// Reports per timed pass over the pool.
+    reports_per_pass: usize,
+    /// Median ns per report of `encode_batch`.
+    encode_ns_per_report: f64,
+    /// Median ns per report of `poll_frame` (checksum, validation and
+    /// landing included).
+    decode_ns_per_report: f64,
+    /// Batch frame bytes per report, header included.
+    bytes_per_report: f64,
+}
+
 /// One paced serve round on a single shard: `submit_rows` + `sync` of a
 /// paper-scale round after the shard has idled — the latency a caller that
 /// submits a round and waits for its decisions sees.
@@ -253,6 +275,7 @@ struct Snapshot {
     serve_paced_sync: PacedSync,
     mu_fill_paper_scale: MuFill,
     shard_kernel: ShardKernel,
+    wire_codec: WireCodec,
 }
 
 /// Timing knobs: `--quick` shrinks every window so CI finishes in seconds.
@@ -266,6 +289,7 @@ struct Effort {
     paced_rounds: usize,
     fill_passes: usize,
     shard_passes: usize,
+    codec_passes: usize,
 }
 
 impl Effort {
@@ -279,6 +303,7 @@ impl Effort {
             paced_rounds: 400,
             fill_passes: 200,
             shard_passes: 200,
+            codec_passes: 400,
         }
     }
 
@@ -292,6 +317,7 @@ impl Effort {
             paced_rounds: 100,
             fill_passes: 20,
             shard_passes: 20,
+            codec_passes: 40,
         }
     }
 }
@@ -798,6 +824,55 @@ fn shard_kernel(effort: Effort) -> ShardKernel {
     }
 }
 
+/// Measures [`WireCodec`]: each timed pass encodes every round of the
+/// pool, then decodes the pool's frames; each figure is the median over
+/// passes.
+fn wire_codec(effort: Effort) -> WireCodec {
+    let PaperRounds { engine, rounds, .. } = paper_rounds();
+    let reports: usize = rounds.iter().map(|(_, rows)| rows.len()).sum();
+    let mut frames = Vec::new();
+    for (r, (nodes, rows)) in rounds.iter().enumerate() {
+        encode_batch(&mut frames, r as u64, nodes, rows);
+    }
+    let mut frame = Vec::new();
+    let mut decoder = WireDecoder::new(engine.knowledge().group_count());
+    let (mut encode, mut decode) = (Vec::new(), Vec::new());
+    for _ in 0..effort.codec_passes {
+        let t0 = Instant::now();
+        for (r, (nodes, rows)) in rounds.iter().enumerate() {
+            frame.clear();
+            encode_batch(&mut frame, r as u64, black_box(nodes), black_box(rows));
+            black_box(&frame);
+        }
+        encode.push(t0.elapsed().as_nanos() as f64 / reports as f64);
+        let t0 = Instant::now();
+        let mut cursor = std::io::Cursor::new(black_box(frames.as_slice()));
+        for _ in &rounds {
+            match decoder.poll_frame(&mut cursor) {
+                Ok(FramePoll::Frame(_)) => {}
+                other => panic!("in-memory frame failed to decode: {other:?}"),
+            }
+        }
+        black_box(decoder.batch());
+        decode.push(t0.elapsed().as_nanos() as f64 / reports as f64);
+    }
+    let (nodes, rows) = rounds.last().expect("the pool has rounds");
+    assert!(
+        decoder.nodes() == nodes.as_slice() && decoder.batch() == rows,
+        "the decoded round differs from its source"
+    );
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    WireCodec {
+        reports_per_pass: reports,
+        encode_ns_per_report: median(encode),
+        decode_ns_per_report: median(decode),
+        bytes_per_report: frames.len() as f64 / reports as f64,
+    }
+}
+
 /// A numeric metric extracted from a snapshot for `--compare`: name,
 /// value, and whether larger is better (throughput) or worse (ns, ratio).
 struct Metric {
@@ -893,6 +968,21 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
         Metric::new(
             "shard_kernel.uncached_ns_per_report",
             snap.shard_kernel.uncached_ns_per_report,
+            false,
+        ),
+        Metric::new(
+            "wire_codec.encode_ns_per_report",
+            snap.wire_codec.encode_ns_per_report,
+            false,
+        ),
+        Metric::new(
+            "wire_codec.decode_ns_per_report",
+            snap.wire_codec.decode_ns_per_report,
+            false,
+        ),
+        Metric::new(
+            "wire_codec.bytes_per_report",
+            snap.wire_codec.bytes_per_report,
             false,
         ),
     ];
@@ -1140,6 +1230,7 @@ fn main() {
         serve_paced_sync: serve_paced_sync(effort),
         mu_fill_paper_scale: mu_fill_paper_scale(effort),
         shard_kernel: shard_kernel(effort),
+        wire_codec: wire_codec(effort),
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&out, format!("{json}\n")).expect("snapshot written");

@@ -10,8 +10,8 @@
 //! measure round trips, not throughput).
 
 use crate::frame::{
-    encode_batch, encode_health_request, encode_stats_request, FrameKind, FramePoll, HealthFormat,
-    WireDecoder, WireError, WireFrame,
+    encode_health_request, encode_stats_request, try_encode_batch, FrameKind, FramePoll,
+    HealthFormat, WireDecoder, WireError, WireFrame,
 };
 use crate::shed::ShedReason;
 use lad_net::{NodeId, ObservationBatch};
@@ -132,6 +132,10 @@ impl WireClient {
     /// Encodes and ships one batch without waiting for its receipt — the
     /// pipelining half. Pair with [`Self::recv_delivery`]; receipts come
     /// back in send order (one connection is one ordered stream).
+    ///
+    /// A batch whose pairs do not fit the frame's `u16`s (more than
+    /// 65 536 groups, or a count above `u16::MAX`) is refused with
+    /// [`WireError::Unencodable`] before anything is written.
     pub fn send_rows_nowait(
         &mut self,
         round: u64,
@@ -139,7 +143,7 @@ impl WireClient {
         batch: &ObservationBatch,
     ) -> Result<(), WireError> {
         self.buf.clear();
-        encode_batch(&mut self.buf, round, nodes, batch);
+        try_encode_batch(&mut self.buf, round, nodes, batch)?;
         self.stream.write_all(&self.buf)?;
         self.in_flight += 1;
         Ok(())
@@ -252,7 +256,8 @@ impl WireClient {
     }
 
     /// Ships one batch and blocks for its receipt — the simple lockstep
-    /// call sites that don't pipeline use.
+    /// call sites that don't pipeline use. Refuses what
+    /// [`Self::send_rows_nowait`] refuses, writing nothing.
     pub fn send_rows(
         &mut self,
         round: u64,

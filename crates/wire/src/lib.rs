@@ -5,9 +5,11 @@
 //!
 //! * [`frame`] — the versioned, checksummed binary frame format for
 //!   [`ObservationBatch`](lad_net::ObservationBatch)es and its streaming
-//!   codec. Frames carry the batch's CSR arrays verbatim; the decoder
-//!   validates once at the boundary and lands rows with zero per-report
-//!   allocation. Everything malformed maps to a typed [`WireError`].
+//!   codec. Frames carry the batch's CSR arrays, pairs narrowed to
+//!   `u16`s; the decoder reads ahead into its own buffer, lands the rows
+//!   in its batch and validates them there in one pass, with zero
+//!   per-report allocation. Everything malformed maps to a typed
+//!   [`WireError`].
 //!   Estimates are carried verbatim: non-finite or out-of-area claims
 //!   decode like any other and score as maximally anomalous (see
 //!   `ServeRuntime::submit_rows`).

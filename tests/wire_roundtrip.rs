@@ -8,15 +8,18 @@
 //!   single-byte corruption, bad magic/version/kind, oversized and lying
 //!   length fields, invalid CSR payloads, undefined enum bytes — always
 //!   yields a **typed** [`WireError`], never a panic.
+//! * The checksum matches known answers, and the client refuses a batch
+//!   whose pairs do not fit `u16`s, typed and without writing a byte.
 
 use lad_geometry::Point2;
 use lad_net::{CsrError, NodeId, ObservationBatch};
 use lad_wire::{
-    checksum, encode_ack, encode_batch, encode_nack, FrameKind, FramePoll, ShedReason, WireDecoder,
-    WireError, WireFrame, HEADER_LEN, MAX_FRAME_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
+    checksum, encode_ack, encode_batch, encode_nack, FrameKind, FramePoll, ShedReason, WireClient,
+    WireDecoder, WireError, WireFrame, HEADER_LEN, MAX_FRAME_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
 };
 use proptest::prelude::*;
 use std::io::{Cursor, Read};
+use std::net::TcpListener;
 
 /// A reader that hands out at most `chunk` bytes per `read` call — the
 /// adversarial fragmentation a TCP stream is allowed to produce.
@@ -79,7 +82,8 @@ fn raw_frame(kind_code: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A batch payload built field by field, so every field can lie.
+/// A batch payload built field by field, so every field can lie. Pairs
+/// travel as `u16`s.
 #[allow(clippy::too_many_arguments)]
 fn batch_payload(
     round: u64,
@@ -88,8 +92,8 @@ fn batch_payload(
     nnz: u32,
     nodes: &[u32],
     offsets: &[u32],
-    groups: &[u32],
-    counts: &[u32],
+    groups: &[u16],
+    counts: &[u16],
     estimates: &[(f64, f64)],
 ) -> Vec<u8> {
     let mut p = Vec::new();
@@ -226,10 +230,11 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
         Err(WireError::BadMagic { .. })
     ));
 
-    // Any other version is refused from the header — including 3, the
-    // last version with the degrade tier's Ack flag and 29-byte Nack.
-    assert_eq!(WIRE_VERSION, 4);
-    for version in [3u16, 7] {
+    // Any other version is refused from the header — including 4, the
+    // last version with `u32` pairs, and 3, the last with the degrade
+    // tier's Ack flag and 29-byte Nack.
+    assert_eq!(WIRE_VERSION, 5);
+    for version in [3u16, 4, 7] {
         let mut bad_version = valid.clone();
         bad_version[4..6].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -250,7 +255,7 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
     );
 
     // An oversized declared length is rejected from the header alone —
-    // before any payload is read or buffered.
+    // before the decoder's buffer grows for it.
     let mut huge = valid.clone();
     huge[8..12].copy_from_slice(&(MAX_FRAME_PAYLOAD + 1).to_le_bytes());
     assert_eq!(
@@ -295,8 +300,11 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
     );
 
     // Lying row/pair counts, including ones whose byte size overflows u32
-    // arithmetic — validated in u64, rejected typed.
-    for (rows, nnz) in [(2u32, 1u32), (1, 5), (u32::MAX, u32::MAX), (0, 1)] {
+    // arithmetic — validated in u64, rejected typed. The honest payload is
+    // 24 + 24·1 + 4·1 = 52 bytes.
+    let honest = batch_payload(1, 4, 1, 1, &[8], &[0, 1], &[2], &[3], &est);
+    assert_eq!(honest.len(), 52);
+    for (rows, nnz) in [(2u32, 1u32), (1, 5), (u32::MAX, u32::MAX), (0, 1), (1, 0)] {
         let payload = batch_payload(1, 4, rows, nnz, &[8], &[0, 1], &[2], &[3], &est);
         let err = WireDecoder::new(4)
             .poll_frame(&mut Cursor::new(&raw_frame(1, &payload)))
@@ -320,7 +328,9 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
     );
 
     // CSR invariant violations surface as typed `Csr` errors and leave the
-    // decoder's batch empty.
+    // decoder's batch empty. (`CsrError::TotalOverflow` cannot arrive: a
+    // row holds at most 65 536 `u16` counts, and 65 536 × 65 535 < 2³².
+    // `lad_net`'s own tests pin it.)
     let csr_cases = [
         (
             batch_payload(1, 4, 1, 2, &[8], &[0, 2], &[2, 1], &[1, 1], &est),
@@ -339,12 +349,48 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
             },
         ),
         (
-            batch_payload(1, 4, 1, 2, &[8], &[0, 2], &[1, 2], &[u32::MAX, 1], &est),
-            CsrError::TotalOverflow { row: 0 },
-        ),
-        (
             batch_payload(1, 4, 1, 1, &[8], &[1, 1], &[1], &[1], &est),
             CsrError::OffsetsNotMonotone,
+        ),
+        (
+            batch_payload(1, 4, 2, 1, &[8, 9], &[0, 1, 0], &[1], &[1], &[est[0]; 2]),
+            CsrError::OffsetsNotMonotone,
+        ),
+        (
+            batch_payload(1, 4, 1, 2, &[8], &[0, 1], &[1, 2], &[1, 1], &est),
+            CsrError::OffsetOverrun { last: 1, nnz: 2 },
+        ),
+        (
+            batch_payload(
+                1,
+                4,
+                2,
+                2,
+                &[8, 9],
+                &[0, 2, 2],
+                &[3, 3],
+                &[1, 1],
+                &[est[0]; 2],
+            ),
+            CsrError::GroupsNotSorted { row: 0 },
+        ),
+        (
+            batch_payload(
+                1,
+                4,
+                2,
+                2,
+                &[8, 9],
+                &[0, 1, 2],
+                &[3, 4],
+                &[1, 1],
+                &[est[0]; 2],
+            ),
+            CsrError::GroupOutOfRange {
+                row: 1,
+                group: 4,
+                group_count: 4,
+            },
         ),
     ];
     for (payload, expected) in csr_cases {
@@ -420,4 +466,122 @@ fn decoder_recovers_rows_reusing_buffers_across_frames() {
     assert_eq!(decoder.nodes(), &nodes_b[..]);
     assert_eq!(decoder.batch(), &batch_b);
     assert_eq!(decoder.batch().len(), 2);
+}
+
+/// `i·7 + 3` (mod 256) for `i` in `0..len`: checksum test material.
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 7 + 3) as u8).collect()
+}
+
+/// A deterministic paper-scale Batch frame: 512 reporters over the
+/// paper's 10 × 10 groups, 1–14 stored pairs per row (~7.5 on average).
+fn paper_scale_frame() -> Vec<u8> {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut batch = ObservationBatch::new(100);
+    let mut nodes = Vec::new();
+    for r in 0..512u32 {
+        let k = 1 + (next() % 14) as u32;
+        let first = (next() % 86) as u32;
+        let groups: Vec<u32> = (first..first + k).collect();
+        let counts: Vec<u32> = (0..k).map(|_| 1 + (next() % 9) as u32).collect();
+        let estimate = Point2::new((next() % 1000) as f64 + 0.5, (next() % 1000) as f64 * 0.25);
+        batch.push_sparse(&groups, &counts, estimate);
+        nodes.push(NodeId(r * 19));
+    }
+    let mut frame = Vec::new();
+    encode_batch(&mut frame, 7, &nodes, &batch);
+    frame
+}
+
+#[test]
+fn checksum_matches_known_answers() {
+    // Lengths around the 32-byte block: all tail, one block, block + tail.
+    for (len, expected) in [
+        (0, 0xd75e_4f3f),
+        (1, 0xc93e_e977),
+        (31, 0xc76a_52da),
+        (32, 0xf632_b7cf),
+        (33, 0xed11_0fe1),
+    ] {
+        assert_eq!(checksum(&pattern(len)), expected, "{len} bytes");
+    }
+    // A paper-scale frame: its header carries the payload's checksum.
+    let frame = paper_scale_frame();
+    let payload = &frame[HEADER_LEN..];
+    assert_eq!(frame.len(), HEADER_LEN + 24 + 24 * 512 + 4 * 3835);
+    assert_eq!(checksum(payload), 0xb715_4ef7);
+    assert_eq!(frame[12..16], checksum(payload).to_le_bytes());
+}
+
+#[test]
+fn u16_pair_bounds_round_trip_exactly() {
+    // The widest deployment and the largest count v5 pairs carry.
+    let mut batch = ObservationBatch::new(1 << 16);
+    batch.push_sparse(&[0, 65_535], &[u16::MAX as u32, 1], Point2::new(1.0, -1.0));
+    batch.push_sparse(&[], &[], Point2::new(f64::NAN, f64::INFINITY));
+    let nodes = [NodeId(u32::MAX), NodeId(0)];
+    let mut wire = Vec::new();
+    encode_batch(&mut wire, u64::MAX, &nodes, &batch);
+    let mut decoder = WireDecoder::new(1 << 16);
+    assert_eq!(
+        decoder.poll_frame(&mut Cursor::new(&wire)).unwrap(),
+        FramePoll::Frame(WireFrame::Batch {
+            round: u64::MAX,
+            rows: 2
+        })
+    );
+    assert_eq!(decoder.nodes(), &nodes[..]);
+    let (a, b) = (batch.as_csr(), decoder.batch().as_csr());
+    assert_eq!(
+        (a.offsets, a.groups, a.counts, a.totals),
+        (b.offsets, b.groups, b.counts, b.totals)
+    );
+    for (ea, eb) in a.estimates.iter().zip(b.estimates) {
+        assert_eq!(
+            (ea.x.to_bits(), ea.y.to_bits()),
+            (eb.x.to_bits(), eb.y.to_bits())
+        );
+    }
+}
+
+#[test]
+fn client_refuses_batches_beyond_u16_pairs_typed_writing_nothing() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = WireClient::connect_tcp(listener.local_addr().unwrap()).unwrap();
+    let (mut peer, _) = listener.accept().unwrap();
+
+    // More than 65 536 groups: group 65 536 has no u16.
+    let mut wide = ObservationBatch::new(65_537);
+    wide.push_sparse(&[65_536], &[1], Point2::new(0.0, 0.0));
+    assert_eq!(
+        client.send_rows_nowait(1, &[NodeId(1)], &wide),
+        Err(WireError::Unencodable {
+            group_count: 65_537,
+            max_count: 1
+        })
+    );
+    // A count above u16::MAX, through both send paths.
+    let mut heavy = ObservationBatch::new(4);
+    heavy.push_sparse(&[1, 2], &[3, 65_536], Point2::new(0.0, 0.0));
+    let refusal = Err(WireError::Unencodable {
+        group_count: 4,
+        max_count: 65_536,
+    });
+    assert_eq!(client.send_rows_nowait(2, &[NodeId(2)], &heavy), refusal);
+    assert_eq!(
+        client.send_rows(3, &[NodeId(2)], &heavy).map(|d| d.round),
+        refusal.map(|()| 0)
+    );
+    assert_eq!(client.in_flight(), 0);
+
+    drop(client);
+    let mut received = Vec::new();
+    peer.read_to_end(&mut received).unwrap();
+    assert!(received.is_empty(), "a refused batch writes nothing");
 }
