@@ -16,6 +16,7 @@ use crate::classes::AttackClass;
 use crate::danomaly::displaced_location;
 use crate::greedy::taint_observation;
 use lad_core::MetricKind;
+use lad_deployment::SparseMu;
 use lad_geometry::Point2;
 use lad_net::{Network, NodeId, Observation};
 use rand::Rng;
@@ -74,9 +75,11 @@ impl AttackOutcome {
 }
 
 thread_local! {
-    /// Per-thread µ(L_e) scratch for the greedy taint (no allocation per
-    /// simulated attack after a thread's first trial).
-    static MU_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Per-thread µ(L_e) scratch for the greedy taint, sparse fill and
+    /// dense copy (no allocation per simulated attack after a thread's
+    /// first trial).
+    static MU_SCRATCH: std::cell::RefCell<(SparseMu, Vec<f64>)> =
+        std::cell::RefCell::new((SparseMu::new(), Vec::new()));
 }
 
 /// Runs the §7.1 attack-simulation procedure on `victim`.
@@ -108,8 +111,9 @@ pub fn simulate_attack<R: Rng + ?Sized>(
     // a fresh µ vector per trial.
     let budget = (config.compromised_fraction * clean.total() as f64).round() as usize;
     let tainted = MU_SCRATCH.with(|cell| {
-        let mu = &mut *cell.borrow_mut();
-        knowledge.expected_observation_into(forged, mu);
+        let (sparse, mu) = &mut *cell.borrow_mut();
+        knowledge.expected_sparse_into(forged, sparse);
+        sparse.to_dense_into(mu);
         taint_observation(
             config.class,
             config.targeted_metric,

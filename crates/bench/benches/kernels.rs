@@ -38,13 +38,6 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("expected_observation", |b| {
         b.iter(|| knowledge.expected_observation(black_box(forged)))
     });
-    group.bench_function("expected_observation_into_scratch", |b| {
-        let mut scratch = Vec::new();
-        b.iter(|| {
-            knowledge.expected_observation_into(black_box(forged), &mut scratch);
-            scratch.len()
-        })
-    });
     group.bench_function("neighborhood_query", |b| {
         b.iter(|| network.true_observation(black_box(victim)))
     });
@@ -64,14 +57,6 @@ fn bench_kernels(c: &mut Criterion) {
     let paper_obs = paper_network.true_observation(victim);
     let paper_m = paper_knowledge.group_size();
     let paper_mu = paper_knowledge.expected_observation(Point2::new(500.0, 400.0));
-    group.bench_function("expected_observation_paper_scale", |b| {
-        let mut scratch = Vec::new();
-        b.iter(|| {
-            paper_knowledge
-                .expected_observation_into(black_box(Point2::new(500.0, 400.0)), &mut scratch);
-            scratch.len()
-        })
-    });
     for kind in MetricKind::ALL {
         group.bench_function(&format!("{}_metric_score_paper_scale", kind.name()), |b| {
             b.iter(|| kind.score(black_box(&paper_obs), black_box(&paper_mu), paper_m))

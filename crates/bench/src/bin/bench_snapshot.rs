@@ -345,9 +345,12 @@ fn kernel_scale(effort: Effort, cfg: &DeploymentConfig, at: Point2, obs_at: Poin
     knowledge.expected_sparse_into(at, &mut smu);
     let support = smu.len();
 
+    // The dense reference: the sparse fill scattered into a dense µ, then
+    // the three per-metric dense scores.
     let mut dense = Vec::new();
     let dense_ns = time_ns(effort, || {
-        knowledge.expected_observation_into(black_box(at), &mut dense);
+        knowledge.expected_sparse_into(black_box(at), &mut smu);
+        smu.to_dense_into(&mut dense);
         MetricKind::ALL
             .iter()
             .map(|kind| kind.score(black_box(&obs), &dense, cfg.group_size))

@@ -3,9 +3,12 @@
 //! [`DeploymentKnowledge`] bundles everything a sensor is assumed to know
 //! before deployment (§3 of the paper): the deployment points of all groups,
 //! the placement distribution, the group size `m`, the transmission range `R`
-//! and the precomputed `g(z)` table. It provides `g_i(θ)` and the expected
-//! observation `µ(θ)` used by both the LAD detector and the beaconless
-//! localization scheme.
+//! and the precomputed `g(z)` table. One float program computes `g_i(θ)` and
+//! the expected observation `µ_i(θ) = m · g_i(θ)`: a gather of the g(z)
+//! support (the groups within `z_max` of `θ`, through a spatial index) and
+//! the [`PreparedGz`](crate::PreparedGz) map over it. The LAD detector reads
+//! µ from it, sparse or densified, and the beaconless localizer reads `g`
+//! (the same fill at `m = 1`).
 
 use crate::config::DeploymentConfig;
 use crate::gz::GzTable;
@@ -23,7 +26,9 @@ use std::sync::Arc;
 /// sorted candidate lists, cells sized from the g(z) tail `z_max`), so the
 /// **support** of `µ(θ)` — the groups within `z_max` of `θ`, the only ones
 /// with `g_i(θ) ≠ 0` — can be enumerated in O(k) by
-/// [`Self::expected_sparse_into`] instead of scanning all `n` groups.
+/// [`Self::expected_sparse_into`] (µ) and [`Self::support_g_into`] (g)
+/// instead of scanning all `n` groups; the dense
+/// [`Self::expected_observation`] scatters the same fill.
 /// Everything here derives from the [`DeploymentConfig`], which is what
 /// engine artifacts carry.
 #[derive(Debug, Clone)]
@@ -92,95 +97,46 @@ impl DeploymentKnowledge {
         self.config.range
     }
 
-    /// `g_i(θ)`: probability that a node of group `i` resides within range of
-    /// the point `θ` (Theorem 1 applied to the distance to group `i`'s
-    /// deployment point, via the lookup table).
-    #[inline]
-    pub fn g_i(&self, group: usize, theta: Point2) -> f64 {
-        let dp = self.layout.deployment_point(group);
-        self.gz.eval(dp.distance(theta))
-    }
-
-    /// Streams `g_i(θ)` group by group without materialising a vector.
-    ///
-    /// A squared-distance early-out skips the `sqrt` and table lookup for
-    /// groups beyond the tabulated g(z) tail (where `g` is 0); the yielded
-    /// values are bit-identical to calling [`Self::g_i`] per group.
-    #[inline]
-    pub fn g_iter(&self, theta: Point2) -> impl Iterator<Item = f64> + '_ {
-        let z_max = self.gz.z_max();
-        let z_max_sq = z_max * z_max;
-        self.layout.deployment_points().iter().map(move |dp| {
-            let d_sq = dp.distance_squared(theta);
-            if d_sq >= z_max_sq {
-                0.0
-            } else {
-                self.gz.eval(d_sq.sqrt())
-            }
-        })
-    }
-
     /// The expected observation `µ(θ)` with `µ_i = m · g_i(θ)` (Equation 2 of
-    /// the paper).
+    /// the paper), dense: the sparse fill of
+    /// [`Self::expected_sparse_into`] scattered into a zeroed vector
+    /// (O(n); for tests and one-off callers — a loop reuses a [`SparseMu`]
+    /// and a buffer through [`SparseMu::to_dense_into`]).
     pub fn expected_observation(&self, theta: Point2) -> Vec<f64> {
-        let mut mu = Vec::new();
-        self.expected_observation_into(theta, &mut mu);
-        mu
-    }
-
-    /// Computes `µ(θ)` into `out`, reusing its allocation: the dense
-    /// O(n) fill behind the test oracles, the attack simulation and the
-    /// serving traffic model (the engine scores sparse, through
-    /// [`Self::expected_sparse_into`]).
-    ///
-    /// Consumes [`Self::expected_iter`], whose squared-distance early-out
-    /// skips the `sqrt` and table lookup beyond the g(z) tail; a buffer
-    /// that is already sized is overwritten in place.
-    pub fn expected_observation_into(&self, theta: Point2, out: &mut Vec<f64>) {
-        if out.len() == self.group_count() {
-            for (slot, value) in out.iter_mut().zip(self.expected_iter(theta)) {
-                *slot = value;
-            }
-        } else {
-            out.clear();
-            out.extend(self.expected_iter(theta));
-        }
-    }
-
-    /// Streams `µ_i = m · g_i(θ)` group by group without materialising a
-    /// vector — the iterator the batched detection engine's fused kernel
-    /// consumes. A squared-distance early-out skips the `sqrt` and table
-    /// lookup for groups beyond the tabulated g(z) tail (where `g` is 0),
-    /// which is most groups at paper scale. Yields exactly the values
-    /// [`Self::expected_observation`] would produce.
-    #[inline]
-    pub fn expected_iter(&self, theta: Point2) -> impl Iterator<Item = f64> + '_ {
-        let m = self.group_size() as f64;
-        self.g_iter(theta).map(move |g| m * g)
+        let mut mu = SparseMu::new();
+        self.expected_sparse_into(theta, &mut mu);
+        mu.to_dense()
     }
 
     /// Fills `out` with the **sparse** expected observation at `θ`: the
     /// group ids and µ values of the g(z) support (groups within `z_max` of
     /// `θ`), sorted by group index, reusing `out`'s allocations.
     ///
-    /// This is the O(k) sibling of [`Self::expected_observation_into`]
-    /// (k = support size, not the group count n): the precomputed spatial
-    /// index enumerates the support directly instead of scanning every
-    /// deployment point. The support is **exact**, not approximate — it
-    /// contains every group whose dense µ entry is nonzero, with
-    /// bit-identical values (the same distance → `sqrt` → table-lookup
-    /// float program as [`Self::expected_iter`]), which is what lets the
-    /// sparse scoring kernels reproduce the dense scores bit for bit.
+    /// Filling is O(k) in the support size k, not the group count n: the
+    /// precomputed spatial index enumerates the support directly instead of
+    /// scanning every deployment point. The support is **exact**, not
+    /// approximate: every group outside it has `g_i(θ) = 0`, so this is the
+    /// one program that computes µ, dense or sparse, and the sparse scoring
+    /// kernels reproduce the dense scores bit for bit. A NaN `θ` has an
+    /// empty support.
     pub fn expected_sparse_into(&self, theta: Point2, out: &mut SparseMu) {
         self.gather_support(theta, out);
         let m = self.group_size() as f64;
         self.gz.prepared().mu_in_place(m, out.values_mut());
     }
 
+    /// [`Self::expected_sparse_into`] at `m = 1`: `out`'s values are
+    /// `g_i(θ)` over the support, bit for bit the µ program's `g` (`1.0 · g`
+    /// is `g`). The beaconless localizer reads its likelihood from this.
+    pub fn support_g_into(&self, theta: Point2, out: &mut SparseMu) {
+        self.gather_support(theta, out);
+        self.gz.prepared().mu_in_place(1.0, out.values_mut());
+    }
+
     /// Phase 1 of the sparse fill — gather: the support's group ids, each
     /// with its squared distance to `θ` parked in the µ slot. Both paths
-    /// apply the exact early-out predicate of `expected_iter`
-    /// (`d² < z_max²`) and visit candidates in ascending group order, so
+    /// keep exactly the groups with `d² < z_max²` (beyond `z_max` the table
+    /// gives `g = 0`) and visit candidates in ascending group order, so
     /// the entries come out sorted with no per-query sort (the indexed
     /// candidate lists are pre-sorted, the fallback scans in index order).
     fn gather_support(&self, theta: Point2, out: &mut SparseMu) {
@@ -210,7 +166,7 @@ impl DeploymentKnowledge {
     /// Phase 2 of a cached fill — the map from the gathered squared
     /// distances to µ, written straight into the cache slot
     /// ([`PreparedGz::mu_into`](crate::PreparedGz::mu_into)). Same float
-    /// program as `expected_iter`: µ = m · g(√d²).
+    /// program as [`Self::expected_sparse_into`]: µ = m · g(√d²).
     fn mu_of_distance_sq(&self) -> impl Fn(&[f64], &mut [f64]) + '_ {
         let m = self.group_size() as f64;
         let gz = self.gz.prepared();
@@ -269,14 +225,30 @@ mod tests {
         DeploymentKnowledge::from_config(&DeploymentConfig::paper_default())
     }
 
+    /// `g_i(θ)` for every group, densified from [`DeploymentKnowledge::support_g_into`].
+    fn g_dense(k: &DeploymentKnowledge, theta: Point2) -> Vec<f64> {
+        let mut g = SparseMu::new();
+        k.support_g_into(theta, &mut g);
+        g.to_dense()
+    }
+
+    /// Theorem 1 group by group, with no support index: the table read at
+    /// the distance to each deployment point.
+    fn brute_g(k: &DeploymentKnowledge, theta: Point2) -> Vec<f64> {
+        k.layout()
+            .deployment_points()
+            .iter()
+            .map(|dp| k.gz_table().eval(dp.distance(theta)))
+            .collect()
+    }
+
     #[test]
     fn g_i_is_largest_for_own_group_at_deployment_point() {
         let k = knowledge();
         let dp = k.layout().deployment_point(55);
-        let g_own = k.g_i(55, dp);
-        for other in 0..k.group_count() {
-            assert!(k.g_i(other, dp) <= g_own + 1e-12);
-        }
+        let g = g_dense(&k, dp);
+        let g_own = g[55];
+        assert!(g.iter().all(|&other| other <= g_own + 1e-12));
         assert!(
             g_own > 0.2,
             "g at the deployment point should be substantial"
@@ -298,7 +270,7 @@ mod tests {
         // 40 covers ~5026 m², so the interior expectation is ≈ 150 neighbours.
         let k = knowledge();
         let center = Point2::new(500.0, 500.0);
-        let expected: f64 = k.expected_iter(center).sum();
+        let expected: f64 = k.expected_observation(center).iter().sum();
         assert!(
             (expected - 150.0).abs() < 15.0,
             "interior expected neighbour count {expected} should be near 150"
@@ -308,8 +280,11 @@ mod tests {
     #[test]
     fn expected_neighbor_count_drops_near_the_corner() {
         let k = knowledge();
-        let interior: f64 = k.expected_iter(Point2::new(500.0, 500.0)).sum();
-        let corner: f64 = k.expected_iter(Point2::new(5.0, 5.0)).sum();
+        let interior: f64 = k
+            .expected_observation(Point2::new(500.0, 500.0))
+            .iter()
+            .sum();
+        let corner: f64 = k.expected_observation(Point2::new(5.0, 5.0)).iter().sum();
         assert!(
             corner < interior * 0.6,
             "corner {corner} vs interior {interior}"
@@ -337,12 +312,15 @@ mod tests {
             Point2::new(-200.0, 500.0),  // outside the area
             Point2::new(5000.0, 5000.0), // far outside: empty support
         ] {
-            let dense = k.expected_observation(theta);
+            let m = k.group_size() as f64;
+            let dense: Vec<f64> = brute_g(&k, theta).iter().map(|g| m * g).collect();
             k.expected_sparse_into(theta, &mut smu);
             assert_eq!(smu.group_count(), k.group_count());
             assert_eq!(smu.group_size(), k.group_size());
-            // Every dense nonzero appears sparsely with the identical bits…
+            // Every nonzero of the brute scan appears sparsely with the
+            // identical bits…
             assert_eq!(smu.to_dense(), dense, "dense mismatch at {theta:?}");
+            assert_eq!(k.expected_observation(theta), dense);
             // …and the entries are sorted and unique.
             assert!(smu.view().groups().windows(2).all(|w| w[0] < w[1]));
         }
@@ -380,11 +358,12 @@ mod tests {
     }
 
     #[test]
-    fn g_iter_matches_g_i_bit_for_bit() {
+    fn support_g_matches_the_table_lookup_bit_for_bit() {
         let k = knowledge();
         // Boundary probes: θ at distance exactly z_max from a deployment
-        // point, where the early-out `d² ≥ z_max²` and `g_i`'s `√d² ≥ z_max`
-        // must agree, and the neighbouring f64 on each side.
+        // point, where the gather's `d² < z_max²` and the table's
+        // `√d² ≥ z_max` early-out must agree, and the neighbouring f64 on
+        // each side.
         let dp = k.layout().deployment_point(55);
         let z_max = k.support_radius();
         let edge = Point2::new(dp.x + z_max, dp.y);
@@ -394,12 +373,15 @@ mod tests {
         assert!(dp.distance(inside) < z_max && dp.distance(outside) > z_max);
         let m = k.group_size() as f64;
         for theta in [Point2::new(217.0, 488.0), edge, inside, outside] {
-            let iterated: Vec<f64> = k.g_iter(theta).collect();
-            assert_eq!(iterated.len(), k.group_count());
+            let g = g_dense(&k, theta);
             let mu = k.expected_observation(theta);
-            for (i, &g) in iterated.iter().enumerate() {
-                assert_eq!(g, k.g_i(i, theta), "group {i} at {theta:?}");
-                assert_eq!(mu[i], m * k.g_i(i, theta), "µ of group {i} at {theta:?}");
+            for (i, &brute) in brute_g(&k, theta).iter().enumerate() {
+                assert_eq!(g[i].to_bits(), brute.to_bits(), "group {i} at {theta:?}");
+                assert_eq!(
+                    mu[i].to_bits(),
+                    (m * brute).to_bits(),
+                    "µ of group {i} at {theta:?}"
+                );
             }
         }
     }

@@ -18,7 +18,12 @@
 //! [`gz`] implements the exact quadrature and the constant-time ω-entry
 //! lookup table of §3.3; [`knowledge`] bundles the layout, the table and the
 //! group size into the [`DeploymentKnowledge`] object consumed by the
-//! detector and the localization schemes.
+//! detector and the localization schemes. `g(z)` is 0 beyond the table's
+//! tail `z_max`, so only the groups within `z_max` of `θ` — the support —
+//! can have `g_i(θ) ≠ 0`. One program computes `g_i` and `µ_i = m·g_i`: a
+//! gather of the support through a spatial index, then the
+//! [`PreparedGz`] map over it, into the [`sparse`] format (densified on
+//! demand); [`mu_cache`] memoizes it per estimate.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -24,12 +24,12 @@ use lad_geometry::{GridIndex, Point2, Rect};
 /// µ values as parallel slices, sorted by group index, plus the group
 /// count/size needed to score against them.
 ///
-/// The entries are **exact**: every group whose dense
-/// [`expected_observation`](crate::DeploymentKnowledge::expected_observation)
-/// entry is nonzero appears here with the bit-identical value (groups on the
-/// support boundary may additionally appear with `µ_i = 0.0`, which scoring
-/// treats exactly like an absent entry). This is what makes the sparse
-/// scoring kernels in `lad_core::metrics` bit-identical to the dense ones.
+/// The entries are **exact**: every group with `µ_i ≠ 0` appears here
+/// (groups on the support boundary may additionally appear with
+/// `µ_i = 0.0`, which scoring treats exactly like an absent entry), and the
+/// dense µ is these entries scattered into zeros
+/// ([`SparseMu::to_dense_into`]). This is what makes the sparse scoring
+/// kernels in `lad_core::metrics` bit-identical to the dense ones.
 #[derive(Debug, Clone, Copy)]
 pub struct MuView<'a> {
     groups: &'a [u32],
@@ -98,16 +98,6 @@ impl<'a> MuView<'a> {
     #[inline]
     pub fn group_size(&self) -> usize {
         self.group_size
-    }
-
-    /// Materialises the dense `µ` vector (O(n); for tests and interop, not
-    /// the hot path).
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut mu = vec![0.0; self.group_count];
-        for (g, v) in self.iter() {
-            mu[g as usize] = v;
-        }
-        mu
     }
 }
 
@@ -185,7 +175,19 @@ impl SparseMu {
 
     /// Materialises the dense `µ` vector (O(n); for tests and interop).
     pub fn to_dense(&self) -> Vec<f64> {
-        self.view().to_dense()
+        let mut mu = Vec::new();
+        self.to_dense_into(&mut mu);
+        mu
+    }
+
+    /// Writes the dense `µ` vector into `out`: `group_count` entries, zero
+    /// off the support, reusing `out`'s allocation.
+    pub fn to_dense_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.group_count, 0.0);
+        for (&g, &v) in self.groups.iter().zip(&self.values) {
+            out[g as usize] = v;
+        }
     }
 
     /// Clears the buffer and re-tags it for a deployment with `group_count`
@@ -324,6 +326,12 @@ mod tests {
     fn to_dense_scatters_entries() {
         let smu = SparseMu::from_entries(vec![(1, 2.5), (4, 0.5)], 6, 60);
         assert_eq!(smu.to_dense(), vec![0.0, 2.5, 0.0, 0.0, 0.5, 0.0]);
+        // A reused buffer is cleared and resized, longer or shorter.
+        for stale in [vec![9.0; 10], vec![9.0; 2]] {
+            let mut out = stale;
+            smu.to_dense_into(&mut out);
+            assert_eq!(out, smu.to_dense());
+        }
         assert_eq!(smu.view().groups(), &[1, 4]);
         assert_eq!(smu.view().values(), &[2.5, 0.5]);
         assert_eq!(smu.len(), 2);

@@ -140,13 +140,6 @@ impl GridIndex {
             }
         }
     }
-
-    /// Collects the insertion indices of all points within `radius` of `query`.
-    pub fn query_within(&self, query: Point2, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_within(query, radius, |i, _| out.push(i));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -174,11 +167,19 @@ mod tests {
         v
     }
 
+    /// The indices [`GridIndex::for_each_within`] visits, ascending.
+    fn within(idx: &GridIndex, q: Point2, r: f64) -> Vec<usize> {
+        let mut got = Vec::new();
+        idx.for_each_within(q, r, |i, _| got.push(i));
+        got.sort_unstable();
+        got
+    }
+
     #[test]
     fn empty_index_returns_nothing() {
         let idx = GridIndex::build(Rect::square(100.0), 10.0, &[]);
         assert!(idx.is_empty());
-        assert!(idx.query_within(Point2::new(50.0, 50.0), 25.0).is_empty());
+        assert!(within(&idx, Point2::new(50.0, 50.0), 25.0).is_empty());
     }
 
     #[test]
@@ -190,9 +191,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         for _ in 0..50 {
             let q = Point2::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
-            let mut got = idx.query_within(q, 40.0);
-            got.sort_unstable();
-            assert_eq!(got, brute_force(&points, q, 40.0));
+            assert_eq!(within(&idx, q, 40.0), brute_force(&points, q, 40.0));
         }
     }
 
@@ -205,7 +204,7 @@ mod tests {
         ];
         let idx = GridIndex::build(Rect::square(100.0), 20.0, &points);
         // All three must be findable with a large enough radius.
-        let got = idx.query_within(Point2::new(50.0, 50.0), 200.0);
+        let got = within(&idx, Point2::new(50.0, 50.0), 200.0);
         assert_eq!(got.len(), 3);
         assert_eq!(idx.point(2), Point2::new(50.0, 50.0));
     }
@@ -230,9 +229,7 @@ mod tests {
         let idx = GridIndex::build(Rect::square(200.0), 25.0, &points);
         for &r in &[5.0, 25.0, 80.0] {
             let q = Point2::new(100.0, 100.0);
-            let mut got = idx.query_within(q, r);
-            got.sort_unstable();
-            assert_eq!(got, brute_force(&points, q, r), "radius {r}");
+            assert_eq!(within(&idx, q, r), brute_force(&points, q, r), "radius {r}");
         }
     }
 
@@ -248,9 +245,7 @@ mod tests {
         ) {
             let points = random_points(n, 300.0, seed);
             let idx = GridIndex::build(Rect::square(300.0), 30.0, &points);
-            let mut got = idx.query_within(Point2::new(qx, qy), r);
-            got.sort_unstable();
-            prop_assert_eq!(got, brute_force(&points, Point2::new(qx, qy), r));
+            prop_assert_eq!(within(&idx, Point2::new(qx, qy), r), brute_force(&points, Point2::new(qx, qy), r));
         }
     }
 }

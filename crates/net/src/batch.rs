@@ -180,18 +180,6 @@ pub struct ObsRow<'a> {
     pub group_count: usize,
 }
 
-impl ObsRow<'_> {
-    /// Materialises the dense observation (O(n); tests and interop, not the
-    /// hot path).
-    pub fn to_observation(&self) -> Observation {
-        let mut obs = Observation::zeros(self.group_count);
-        for (&g, &c) in self.groups.iter().zip(self.counts) {
-            obs.set(g as usize, c);
-        }
-        obs
-    }
-}
-
 impl ObservationBatch {
     /// An empty batch over `group_count` deployment groups.
     pub fn new(group_count: usize) -> Self {
@@ -559,13 +547,13 @@ mod tests {
         assert_eq!(r0.groups, &[1, 3]);
         assert_eq!(r0.counts, &[3, 1]);
         assert_eq!(r0.total, 4);
-        assert_eq!(r0.to_observation(), obs(vec![0, 3, 0, 1, 0]));
+        assert_eq!(r0.group_count, 5);
         assert_eq!(batch.estimate(0), Point2::new(1.0, 2.0));
 
         let r1 = batch.row(1);
         assert!(r1.groups.is_empty());
         assert_eq!(r1.total, 0);
-        assert_eq!(r1.to_observation(), obs(vec![0; 5]));
+        assert!(r1.counts.is_empty());
 
         let rows: Vec<u32> = batch.rows().map(|(row, _)| row.total).collect();
         assert_eq!(rows, vec![4, 0, 16]);

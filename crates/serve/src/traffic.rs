@@ -22,6 +22,7 @@
 use lad_attack::{displaced_location, taint_observation, AttackConfig, Evasion};
 use lad_core::engine::LadEngine;
 use lad_core::MetricKind;
+use lad_deployment::SparseMu;
 use lad_geometry::Point2;
 use lad_net::{Network, NodeId, Observation, ObservationBatch};
 use lad_stats::seeds::derive_seed;
@@ -437,6 +438,7 @@ impl TrafficModel {
     ) {
         let active = self.timeline.active_count(self.compromised, round);
         let mut heard = Observation::zeros(self.knowledge.group_count());
+        let mut mu_sparse = SparseMu::new();
         let mut mu_scratch: Vec<f64> = Vec::new();
         for reporter in &self.reporters {
             if self
@@ -478,7 +480,8 @@ impl TrafficModel {
                 );
                 Self::thin_into(&reporter.clean_observation, &mut rng, &mut heard);
                 let budget = (attack.compromised_fraction * heard.total() as f64).round() as usize;
-                knowledge.expected_observation_into(forged, &mut mu_scratch);
+                knowledge.expected_sparse_into(forged, &mut mu_sparse);
+                mu_sparse.to_dense_into(&mut mu_scratch);
                 let tainted = taint_observation(
                     attack.class,
                     attack.targeted_metric,

@@ -99,16 +99,6 @@ impl Binomial {
         self.ln_pmf(k).exp()
     }
 
-    /// Cumulative probability `Pr(X ≤ k)` by direct summation.
-    pub fn cdf(&self, k: u64) -> f64 {
-        let k = k.min(self.n);
-        let mut acc = 0.0;
-        for i in 0..=k {
-            acc += self.pmf(i);
-        }
-        acc.min(1.0)
-    }
-
     /// The distribution mean `n·p`.
     pub fn mean(&self) -> f64 {
         self.n as f64 * self.p
@@ -220,18 +210,6 @@ mod tests {
                 assert!(b.pmf(k) <= pm + 1e-12, "n={n} p={p} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn cdf_monotone_and_complete() {
-        let b = Binomial::new(40, 0.37);
-        let mut prev = 0.0;
-        for k in 0..=40 {
-            let c = b.cdf(k);
-            assert!(c >= prev - 1e-12);
-            prev = c;
-        }
-        assert!((b.cdf(40) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -43,12 +43,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Convenience wrapper: the τ-percentile threshold used by LAD training.
-/// `tau` is expressed as a fraction (e.g. `0.99` for the 99th percentile).
-pub fn tau_threshold(samples: &[f64], tau: f64) -> Option<f64> {
-    quantile(samples, tau)
-}
-
 /// Returns the fraction of `samples` that are strictly greater than
 /// `threshold` — the empirical false-positive rate of a "greater than
 /// threshold ⇒ alarm" detector evaluated on clean data.
@@ -94,7 +88,6 @@ mod tests {
     #[test]
     fn empty_input_returns_none() {
         assert!(quantile(&[], 0.5).is_none());
-        assert!(tau_threshold(&[], 0.99).is_none());
         assert_eq!(exceedance_fraction(&[], 1.0), 0.0);
     }
 
@@ -135,7 +128,7 @@ mod tests {
         // training samples exceed it — the paper's training-set FP bound.
         let samples: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         let tau = 0.99;
-        let thr = tau_threshold(&samples, tau).unwrap();
+        let thr = quantile(&samples, tau).unwrap();
         assert!(exceedance_fraction(&samples, thr) <= 1.0 - tau + 1e-9);
     }
 
@@ -183,7 +176,7 @@ mod tests {
 
         #[test]
         fn prop_exceedance_bounded_by_tau(xs in proptest::collection::vec(-1e3f64..1e3, 2..300), tau in 0.5f64..1.0) {
-            let thr = tau_threshold(&xs, tau).unwrap();
+            let thr = quantile(&xs, tau).unwrap();
             // Allow for ties/interpolation: exceedance can only be smaller or
             // marginally above (1 - tau) due to discreteness of the sample.
             let slack = 1.0 / xs.len() as f64 + 1e-9;

@@ -149,11 +149,6 @@ impl ScoreAccumulator {
         }
     }
 
-    /// `true` while the accumulator still holds every score exactly.
-    pub fn is_exact(&self) -> bool {
-        matches!(self.state, State::Exact(_))
-    }
-
     /// The raw scores, available only in exact mode.
     pub fn exact_scores(&self) -> Option<&[f64]> {
         match &self.state {
@@ -452,9 +447,8 @@ mod tests {
         };
         let mut acc = ScoreAccumulator::new(config);
         acc.extend((0..10).map(|i| i as f64));
-        assert!(acc.is_exact());
+        assert_eq!(acc.exact_scores().map(<[f64]>::len), Some(10));
         acc.add(10.0);
-        assert!(!acc.is_exact());
         assert_eq!(acc.count(), 11);
         assert!(acc.exact_scores().is_none());
     }

@@ -6,6 +6,9 @@
 //! all three metrics' sparse kernels, the fused kernel and every engine
 //! entry point — on rows the kernels score by walking µ's support over a
 //! dense observation scratch and on rows that fall back to the sorted merge.
+//! The dense µ every comparison uses is [`brute_mu`], a scan of all `n`
+//! deployment points that shares neither the support index nor the lane
+//! map with the library's fill.
 
 use lad_core::metrics::{score_all_fused_sparse, ObsScratch};
 use lad_core::{LadEngine, MetricKind};
@@ -37,6 +40,27 @@ fn config(
     }
 }
 
+/// The dense µ by brute force: `m · g(√d²)` for every deployment point
+/// with `d² < z_max²`, 0 otherwise (a NaN estimate compares false, so its
+/// µ is all zero).
+fn brute_mu(knowledge: &DeploymentKnowledge, theta: Point2) -> Vec<f64> {
+    let m = knowledge.group_size() as f64;
+    let z_max = knowledge.support_radius();
+    knowledge
+        .layout()
+        .deployment_points()
+        .iter()
+        .map(|dp| {
+            let d_sq = dp.distance_squared(theta);
+            if d_sq < z_max * z_max {
+                m * knowledge.gz_table().eval(d_sq.sqrt())
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
 /// Asserts bitwise f64 equality (− the strongest form of "same score").
 fn assert_bits(a: f64, b: f64, what: &str) {
     assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
@@ -44,12 +68,23 @@ fn assert_bits(a: f64, b: f64, what: &str) {
 
 fn check_point(knowledge: &DeploymentKnowledge, obs: &Observation, theta: Point2) {
     let m = knowledge.group_size();
-    let dense_mu = knowledge.expected_observation(theta);
+    let dense_mu = brute_mu(knowledge, theta);
     let mut smu = SparseMu::new();
     knowledge.expected_sparse_into(theta, &mut smu);
 
-    // The sparse µ scatters back to the dense µ exactly, entries sorted.
-    assert_eq!(smu.to_dense(), dense_mu, "µ mismatch at {theta:?}");
+    // The sparse µ scatters back to the brute-force µ exactly, entries
+    // sorted, and so does the library's dense µ.
+    let bits = |mu: &[f64]| mu.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&smu.to_dense()),
+        bits(&dense_mu),
+        "µ mismatch at {theta:?}"
+    );
+    assert_eq!(
+        bits(&knowledge.expected_observation(theta)),
+        bits(&dense_mu),
+        "dense µ mismatch at {theta:?}"
+    );
     let mu = smu.view();
     assert!(mu.groups().windows(2).all(|w| w[0] < w[1]));
 
@@ -246,12 +281,7 @@ proptest! {
             let shape = SHAPES.get(r).copied().unwrap_or_else(|| SHAPES[rng.gen_range(0..4usize)]);
             let (theta, counts) = shaped_row(&knowledge, shape, &mut rng);
             let obs = Observation::from_counts(counts);
-            // The densified sparse µ: `expected_observation` itself maps a
-            // NaN estimate to NaN entries where the sparse fill's support is
-            // empty (for finite estimates the two are equal, see
-            // `check_point`).
-            knowledge.expected_sparse_into(theta, &mut smu);
-            let mu = smu.to_dense();
+            let mu = brute_mu(&knowledge, theta);
             want.push(MetricKind::ALL.map(|kind| kind.score(&obs, &mu, m)));
             batch.push(&obs, theta);
         }
@@ -300,6 +330,32 @@ proptest! {
 }
 
 #[test]
+fn nan_estimates_have_an_all_zero_dense_mu() {
+    // A NaN estimate has an empty support, so the dense µ is all +0.0 and
+    // the dense reference scores equal every sparse kernel's.
+    let knowledge = DeploymentKnowledge::from_config(&DeploymentConfig::small_test());
+    let n = knowledge.group_count();
+    for theta in [
+        Point2::new(f64::NAN, 200.0),
+        Point2::new(200.0, f64::NAN),
+        Point2::new(f64::NAN, f64::NAN),
+    ] {
+        let mu = knowledge.expected_observation(theta);
+        assert_eq!(mu.len(), n);
+        assert!(
+            mu.iter().all(|v| v.to_bits() == 0),
+            "µ at {theta:?}: {mu:?}"
+        );
+        for obs in [
+            Observation::zeros(n),
+            Observation::from_counts((0..n as u32).map(|g| g % 5).collect()),
+        ] {
+            check_point(&knowledge, &obs, theta);
+        }
+    }
+}
+
+#[test]
 fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
     let engine = LadEngine::builder()
         .deployment(&DeploymentConfig::small_test())
@@ -329,7 +385,7 @@ fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
     let width = engine.metrics().len();
     assert_eq!(flat_rows.len(), rows.len() * width);
     for (r, (obs, row)) in observations.iter().zip(flat_rows.chunks(width)).enumerate() {
-        let mu = knowledge.expected_observation(rows.estimate(r));
+        let mu = brute_mu(&knowledge, rows.estimate(r));
         for (k, kind) in MetricKind::ALL.into_iter().enumerate() {
             assert_bits(
                 row[k],
@@ -369,7 +425,7 @@ fn non_fused_engines_score_rows_identically_too() {
         let obs = Observation::from_counts((0..n as u32).map(|g| (g + i) % 9).collect());
         let at = Point2::new((i as f64 * 31.7) % 400.0, (i as f64 * 17.3) % 400.0);
         rows.push(&obs, at);
-        let mu = knowledge.expected_observation(at);
+        let mu = brute_mu(&knowledge, at);
         for &kind in engine.metrics() {
             dense.push(kind.score(&obs, &mu, m));
         }
